@@ -1,4 +1,4 @@
-"""Batched sequence-pair realization for orientation sweeps.
+"""Batched sequence-pair realization: orientation sweeps and γ− blocks.
 
 EFA's inner loop enumerates, per sequence pair, every combination of the
 four die orientations — ``4^n`` candidates that share one constraint-graph
@@ -14,13 +14,19 @@ sweep vectorially:
   matrix and the per-combination swollen dimensions once, then packs *all*
   combinations of a sequence pair in one batched longest-path pass
   (``O(n^2)`` numpy operations over length-``4^n`` arrays instead of
-  ``4^n`` Python-level packings).
+  ``4^n`` Python-level packings);
+* :class:`MinusBlocks` — the fixed-orientation (EFA_dop) counterpart:
+  splits the γ− permutations into lexicographic blocks of up to ``6!``
+  rows sharing a prefix and packs a whole block against one γ+ in one
+  pass (:func:`pack_block`).
 
-**Bit-identity.**  The batched pass applies exactly the serial packing's
+**Bit-identity.**  The batched passes apply exactly the serial packing's
 float64 operations — the same additions and the same chain of ``max``
 updates in the same order, just broadcast over the combination axis — so
 every coordinate, outline extent and downstream HPWL it produces is
-bit-identical to the scalar path.  The tests and
+bit-identical to the scalar path.  :func:`pack_block` reduces each
+coordinate's candidate sums with one ``max`` instead of a chain; ``max``
+is exact, so the order does not matter.  The tests and
 ``benchmarks/bench_batch_eval.py`` assert this with ``==``, not approx.
 
 **Memory contract.**  An ``OrientationSweep`` holds a handful of
@@ -28,20 +34,39 @@ bit-identical to the scalar path.  The tests and
 buffers), so its footprint is ``O(n * 4^n)`` — about 4 MB per table at
 ``n = 8``.  Construction refuses die counts whose sweep would not fit;
 EFA falls back to the scalar loop there (where the ``n!^2`` outer
-enumeration is unreachable anyway).
+enumeration is unreachable anyway).  A γ− block pack holds a few
+``(n, 6!)`` float64 tables, about 46 KB each at ``n = 8``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from itertools import permutations
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from ..seqpair import permutation_at_rank
 
 # Largest die count a sweep will materialize (4^12 * 12 * 8 B = 1.5 GB is
 # already absurd; EFA's n!^2 outer loop dies long before this).
 MAX_SWEEP_DIES = 10
 
-__all__ = ["MAX_SWEEP_DIES", "OrientationSweep", "pack_indices"]
+# Suffix length of a γ− block: a block holds the k! permutations that
+# share their first n - k entries, k = min(n, BLOCK_SUFFIX).  6! rows pack
+# as fast per row as 7! and keep the working set near 300 KB, inside the
+# memory the flow's later stages reuse.
+BLOCK_SUFFIX = 6
+
+__all__ = [
+    "BLOCK_SUFFIX",
+    "MAX_SWEEP_DIES",
+    "MinusBlocks",
+    "OrientationSweep",
+    "die_major",
+    "pack_block",
+    "pack_indices",
+]
 
 
 def pack_indices(
@@ -167,3 +192,84 @@ class OrientationSweep:
             np.add(y, self._h[b], out=tmp)
             np.maximum(height, tmp, out=height)
         return xs, ys, width, height
+
+
+def pack_block(
+    minus: np.ndarray,
+    rank_plus: np.ndarray,
+    widths: np.ndarray,
+    heights: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pack_indices` for ``R`` γ− permutations against one γ+.
+
+    ``minus`` is an ``(R, n)`` array of die indices (one γ− per row),
+    ``rank_plus`` the γ+ rank of each die and ``widths`` / ``heights``
+    the per-die swollen dims.  Returns position-major ``xs`` / ``ys``
+    (``xs[p, r]`` is the origin of die ``minus[r, p]``) and the
+    length-``R`` outline extents.  Each coordinate is the max of ``0.0``
+    and the same ``origin + dim`` sums :func:`pack_indices` compares, so
+    every row is bit-identical to it.
+    """
+    rows, n = minus.shape
+    dies = np.ascontiguousarray(minus.T)
+    rank = rank_plus[dies]
+    xs = np.zeros((n, rows))
+    ys = np.zeros((n, rows))
+    x_end = widths[dies]
+    y_end = heights[dies]
+    for pos in range(1, n):
+        # Earlier γ− entries sit left of this die when they also come
+        # first in γ+, below it otherwise.
+        left = rank[:pos] < rank[pos]
+        np.max(np.where(left, x_end[:pos], 0.0), axis=0, out=xs[pos])
+        np.max(np.where(left, 0.0, y_end[:pos]), axis=0, out=ys[pos])
+        x_end[pos] += xs[pos]
+        y_end[pos] += ys[pos]
+    return xs, ys, x_end.max(axis=0), y_end.max(axis=0)
+
+
+class MinusBlocks:
+    """The γ− permutations of ``range(n)`` in lexicographic blocks.
+
+    Block ``b`` holds ranks ``[b * k!, (b + 1) * k!)``: every permutation
+    sharing one ``(n - k)``-prefix, its suffixes in lexicographic order,
+    ``k = min(n, BLOCK_SUFFIX)``.  Rows are built from one ``(k!, k)``
+    suffix table, so a block costs one gather.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.k = min(n, BLOCK_SUFFIX)
+        self.size = math.factorial(self.k)
+        # Die indices (and γ+ ranks) fit the smallest integer type, which
+        # keeps a block's index tables at n * k! bytes.
+        self.dtype = np.min_scalar_type(n)
+        self._suffix = np.asarray(
+            list(permutations(range(self.k))), dtype=self.dtype
+        ).reshape(self.size, self.k)
+
+    def blocks(self, lo: int, hi: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(first_rank, minus)`` for the blocks covering ranks
+        ``[lo, hi)``, clipped to it; ``minus`` is ``(R, n)``."""
+        n, k, size = self.n, self.k, self.size
+        if lo >= hi:
+            return
+        for b in range(lo // size, -(-hi // size)):
+            start = b * size
+            head = permutation_at_rank(n, start)
+            # The block's first permutation: prefix + ascending rest.
+            rest = np.asarray(head[n - k :], dtype=self.dtype)
+            r_lo = max(lo, start) - start
+            r_hi = min(hi, start + size) - start
+            minus = np.empty((r_hi - r_lo, n), dtype=self.dtype)
+            minus[:, : n - k] = head[: n - k]
+            minus[:, n - k :] = rest[self._suffix[r_lo:r_hi]]
+            yield start + r_lo, minus
+
+
+def die_major(minus: np.ndarray, pos_major: np.ndarray) -> np.ndarray:
+    """``(R, n)`` per-die values from :func:`pack_block`'s position-major
+    ``(n, R)`` output for the same ``minus`` rows."""
+    out = np.empty(minus.shape)
+    np.put_along_axis(out, minus, pos_major.T, axis=1)
+    return out

@@ -25,6 +25,10 @@ packs with flat lists — with up to ``n!^2 * 4^n`` candidates this inner
 loop dominates the floorplanning stage, so no :class:`SequencePair` or
 dict machinery is allowed inside it.  The semantics are identical to
 :func:`repro.seqpair.pack_sequence_pair`, which the tests cross-check.
+Per sequence pair the 4^n orientation sweep runs batched
+(:class:`~repro.floorplan.batch.OrientationSweep`); with fixed
+orientations, blocks of γ− permutations are packed and scored at once
+(:class:`~repro.floorplan.batch.MinusBlocks`, DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -52,7 +56,14 @@ from ..seqpair import (
     sequence_pair_count,
 )
 from .base import FloorplanResult, SearchStats, TimeBudget
-from .batch import MAX_SWEEP_DIES, OrientationSweep, pack_indices
+from .batch import (
+    MAX_SWEEP_DIES,
+    MinusBlocks,
+    OrientationSweep,
+    die_major,
+    pack_block,
+    pack_indices,
+)
 from .estimator import FastHpwlEvaluator, orientation_code
 
 _EPS = 1e-9
@@ -116,6 +127,8 @@ def resolve_batch_eval(
     )
 
 logger = get_logger("floorplan.efa")
+# hpwl_batch scratch budget for scoring the legal rows of one γ− block.
+_BLOCK_SCORE_BYTES = 1 << 18
 # Progress log cadence: every this-many candidates at the existing
 # periodic budget-check site, so the hot loop gains no extra branches.
 _PROGRESS_EVERY = 1 << 18
@@ -138,7 +151,8 @@ class EFAConfig:
     time_budget_s: Optional[float] = None
     # Score each sequence pair's whole 4^n orientation sweep in one
     # batched pack + hpwl_batch pass (bit-identical result; see
-    # repro.floorplan.batch).  False = the scalar per-combination loop;
+    # repro.floorplan.batch).  Fixed-orientation runs pack γ− blocks
+    # either way.  False = the scalar per-combination loop;
     # "auto" = pick per design via :func:`resolve_batch_eval` (serial
     # only on small-sweep, terminal-heavy designs where the batched
     # kernel is memory-bound).
@@ -179,6 +193,7 @@ class EnumerativeFloorplanner:
         # runs many shards through one planner, and rebuilding the
         # (n, 4^n) tables per shard wastes ~15ms apiece at n=8.
         self._sweep: Optional[OrientationSweep] = None
+        self._blocks = MinusBlocks(len(self._die_ids))
 
     def _prepare_dims(self) -> None:
         """Precompute swollen per-orientation dimensions and outline bounds."""
@@ -208,6 +223,9 @@ class EnumerativeFloorplanner:
         # any legal candidate's die origins (origin + min extent <= avail).
         self._min_heights = np.asarray([d[1] for d in self._low_dims])
         self._min_widths = np.asarray([d[0] for d in self._thin_dims])
+        # (widths, heights) arrays for the γ− block packs.
+        self._low_wh = tuple(np.asarray(v) for v in zip(*self._low_dims))
+        self._thin_wh = tuple(np.asarray(v) for v in zip(*self._thin_dims))
         self._center = interposer.center
 
     # -- fast index-based packing -------------------------------------------------
@@ -330,6 +348,13 @@ class EnumerativeFloorplanner:
                 orientation_code(cfg.fixed_orientations[d])
                 for d in self._die_ids
             )
+            fixed_dims = [
+                self._dims_by_code[i][c] for i, c in enumerate(fixed_codes)
+            ]
+            # (codes, widths, heights) per die for the γ− block packs.
+            fixed = (np.asarray(fixed_codes, dtype=np.int64),) + tuple(
+                np.asarray(v) for v in zip(*fixed_dims)
+            )
         else:
             fixed_codes = None
         # Batched sweep: only worthwhile with a real orientation sweep to
@@ -351,12 +376,9 @@ class EnumerativeFloorplanner:
             sweep = self._sweep
         else:
             sweep = None
-        if fixed_codes is not None:
-            orient_combos: Optional[Tuple[Tuple[int, ...], ...]] = (
-                fixed_codes,
-            )
-        elif use_batch:
-            orient_combos = None  # the sweep's code matrix replaces it
+        if fixed_codes is not None or use_batch:
+            # γ− blocks (fixed orientations) or the sweep's code matrix.
+            orient_combos: Optional[Tuple[Tuple[int, ...], ...]] = None
         else:
             orient_combos = tuple(product(range(4), repeat=n))
         # Chunk the sweep so one hpwl_batch call's live scratch stays
@@ -381,6 +403,21 @@ class EnumerativeFloorplanner:
 
         indices = tuple(range(n))
         rank_plus = [0] * n
+
+        def fold(wl: float, key: Tuple[int, int, int], candidate) -> None:
+            """Fold a candidate into the running best: a strictly lower
+            wl wins, an equal one only with a lower enumeration key."""
+            nonlocal best_wl, best, best_key, prune_wl
+            if wl < best_wl:
+                best_wl, best, best_key = wl, candidate, key
+                record_incumbent(wl, source=cfg.name)
+                if wl < prune_wl:
+                    prune_wl = wl
+                if incumbent is not None:
+                    incumbent.offer(wl)
+            elif wl == best_wl and best is not None and key < best_key:
+                best, best_key = candidate, key
+
         if (lo, hi) == (0, n_fact):
             plus_iter = enumerate(permutations(indices))
         else:
@@ -395,7 +432,46 @@ class EnumerativeFloorplanner:
                 if shared < prune_wl:
                     prune_wl = shared
             timed_out = False
-            if cfg.minus_range is None:
+            if fixed_codes is not None:
+                # One orientation per pair: pack and score γ− blocks at
+                # once.  The budget and the shared incumbent are checked
+                # between blocks, and the cuts prune against the bound as
+                # it stands at the start of each block.
+                rank_arr = np.asarray(rank_plus, dtype=self._blocks.dtype)
+                for first_rank, minus_rows in self._blocks.blocks(mlo, mhi):
+                    if budget.expired:
+                        timed_out = True
+                        break
+                    if incumbent is not None:
+                        shared = incumbent.peek()
+                        if shared < prune_wl:
+                            prune_wl = shared
+                    wl, row, pruned_bound = self._scan_block(
+                        minus_rows, rank_arr, fixed, prune_wl, stats
+                    )
+                    if pruned_bound < min_pruned_bound:
+                        min_pruned_bound = pruned_bound
+                    if row >= 0:
+                        fold(
+                            wl,
+                            (plus_rank, first_rank + row, 0),
+                            (
+                                plus,
+                                tuple(int(i) for i in minus_rows[row]),
+                                fixed_codes,
+                            ),
+                        )
+                    candidate_count += len(minus_rows)
+                    progress.update(
+                        done=stats.sequence_pairs_explored
+                        + stats.pruned_illegal
+                        + stats.pruned_inferior,
+                        best=best_wl,
+                        candidates=candidate_count,
+                    )
+                # The blocks covered the window; no per-pair loop.
+                minus_iter = ()
+            elif cfg.minus_range is None:
                 minus_iter = enumerate(permutations(indices))
             else:
                 minus_iter = zip(
@@ -473,33 +549,17 @@ class EnumerativeFloorplanner:
                                 timed_out = True
                                 break
                     if sweep_combo >= 0:
-                        if sweep_wl < best_wl:
-                            best_wl = sweep_wl
-                            best = (
+                        fold(
+                            sweep_wl,
+                            (plus_rank, minus_rank, sweep_combo),
+                            (
                                 plus,
                                 minus,
                                 tuple(
                                     int(c) for c in sweep.codes[sweep_combo]
                                 ),
-                            )
-                            best_key = (plus_rank, minus_rank, sweep_combo)
-                            record_incumbent(sweep_wl, source=cfg.name)
-                            if sweep_wl < prune_wl:
-                                prune_wl = sweep_wl
-                            if incumbent is not None:
-                                incumbent.offer(sweep_wl)
-                        elif sweep_wl == best_wl and best is not None:
-                            key = (plus_rank, minus_rank, sweep_combo)
-                            if key < best_key:
-                                best = (
-                                    plus,
-                                    minus,
-                                    tuple(
-                                        int(c)
-                                        for c in sweep.codes[sweep_combo]
-                                    ),
-                                )
-                                best_key = key
+                            ),
+                        )
                     progress.update(
                         done=stats.sequence_pairs_explored
                         + stats.pruned_illegal
@@ -570,20 +630,12 @@ class EnumerativeFloorplanner:
                         codes_arr[i] = combo[i]
                     wl = evaluator.hpwl(die_x, die_y, codes_arr)
                     stats.floorplans_evaluated += 1
-                    if wl < best_wl:
-                        best_wl = wl
-                        best = (plus, minus, combo)
-                        best_key = (plus_rank, minus_rank, combo_idx)
-                        record_incumbent(wl, source=cfg.name)
-                        if wl < prune_wl:
-                            prune_wl = wl
-                        if incumbent is not None:
-                            incumbent.offer(wl)
-                    elif wl == best_wl and best is not None:
-                        key = (plus_rank, minus_rank, combo_idx)
-                        if key < best_key:
-                            best = (plus, minus, combo)
-                            best_key = key
+                    if wl <= best_wl:
+                        fold(
+                            wl,
+                            (plus_rank, minus_rank, combo_idx),
+                            (plus, minus, combo),
+                        )
                 if timed_out:
                     break
             progress.update(
@@ -619,7 +671,10 @@ class EnumerativeFloorplanner:
             best_wl, min_pruned_bound, stats.timed_out
         )
         if best is None:
-            logger.warning("%s: no legal floorplan found", cfg.name)
+            # INFO, not WARNING: windowed and probe runs miss by design;
+            # callers that act on a miss (run_efa_dop's fallback,
+            # run_flow's RuntimeError) report it themselves.
+            logger.info("%s: no legal floorplan found", cfg.name)
             return FloorplanResult(None, float("inf"), stats, cfg.name)
         floorplan = self._realize(*best)
         return FloorplanResult(
@@ -632,6 +687,83 @@ class EnumerativeFloorplanner:
         )
 
     # -- internals ---------------------------------------------------------------
+
+    def _scan_block(
+        self,
+        minus: np.ndarray,
+        rank_plus: np.ndarray,
+        fixed: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        prune_wl: float,
+        stats: SearchStats,
+    ) -> Tuple[float, int, float]:
+        """Score one γ− block of a fixed-orientation run against one γ+.
+
+        ``fixed`` holds the per-die orientation codes and swollen widths
+        and heights.  Returns ``(wl, row, pruned_bound)``: the block's
+        lowest wirelength, its first row (``-1`` when no row is legal),
+        and the tightest Eq. 2 bound among rows the inferior cut pruned.
+        Rows go
+        through the scalar loop's steps as masks: illegal cut from the
+        F_low / F_thin block packs, inferior cut per surviving row against
+        ``prune_wl``, outline check, then ``hpwl_batch`` over the legal
+        rows.  Packing and scoring are bit-identical to
+        :func:`pack_indices` + ``hpwl`` per row.
+        """
+        cfg = self.config
+        avail_w = self._avail_w + _EPS
+        avail_h = self._avail_h + _EPS
+        alive = np.ones(len(minus), dtype=bool)
+        pruned_bound = float("inf")
+        if cfg.illegal_cut or cfg.inferior_cut:
+            low = pack_block(minus, rank_plus, *self._low_wh)
+            thin = pack_block(minus, rank_plus, *self._thin_wh)
+            if cfg.illegal_cut:
+                alive = ~((low[3] > avail_h) | (thin[2] > avail_w))
+                stats.pruned_illegal += len(minus) - int(alive.sum())
+            if cfg.inferior_cut and prune_wl < float("inf"):
+                rows = np.flatnonzero(alive)
+                packs = [
+                    die_major(minus[rows], pack[axis][:, rows])
+                    for pack in (low, thin)
+                    for axis in (0, 1)
+                ]
+                for j, r in enumerate(rows):
+                    stats.lower_bound_evaluations += 1
+                    bound = self._lower_bound(
+                        (packs[0][j], packs[1][j], low[2][r], low[3][r]),
+                        (packs[2][j], packs[3][j], thin[2][r], thin[3][r]),
+                    )
+                    if bound > prune_wl + _EPS:
+                        stats.pruned_inferior += 1
+                        pruned_bound = min(pruned_bound, bound)
+                        alive[r] = False
+        codes, widths, heights = fixed
+        xs, ys, w, h = pack_block(minus, rank_plus, widths, heights)
+        explored = int(alive.sum())
+        legal = np.flatnonzero(alive & ~((w > avail_w) | (h > avail_h)))
+        stats.sequence_pairs_explored += explored
+        stats.floorplans_rejected_outline += explored - legal.size
+        stats.floorplans_evaluated += legal.size
+        best_wl, best_row = float("inf"), -1
+        # The outline rejects most rows, so few reach hpwl_batch: a
+        # smaller scratch budget than the sweep's costs nothing here.
+        budget_rows = _BLOCK_SCORE_BYTES // self.evaluator.batch_row_bytes()
+        chunk = max(1, min(self.evaluator.batch_chunk_rows(), budget_rows))
+        for lo in range(0, legal.size, chunk):
+            sel = legal[lo : lo + chunk]
+            # Centre on the interposer (Fig. 3 line 5), as the scalar
+            # loop does per candidate.
+            off_x = self._center.x - w[sel] / 2.0 + self._half_cd
+            off_y = self._center.y - h[sel] / 2.0 + self._half_cd
+            die_x = die_major(minus[sel], xs[:, sel]) + off_x[:, None]
+            die_y = die_major(minus[sel], ys[:, sel]) + off_y[:, None]
+            wl = self.evaluator.hpwl_batch(
+                die_x, die_y, np.broadcast_to(codes, die_x.shape)
+            )
+            j = int(np.argmin(wl))
+            if wl[j] < best_wl:
+                best_wl, best_row = float(wl[j]), int(sel[j])
+        return best_wl, best_row, pruned_bound
 
     def _certify_bound(
         self,

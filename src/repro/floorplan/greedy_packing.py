@@ -16,14 +16,22 @@ terminals already located (buffers of packed dies, plus escape points,
 which are always located), after centring the arrangement on the
 interposer; illegal arrangements get a large penalty.  The orientations of
 ``F_ref`` then seed ``EFA_dop``.
+
+The cost is array-based: per-die, per-orientation, per-signal local
+bounding boxes are tabulated once, and each stage scores all its
+candidates in one pass (:meth:`GreedyPacker._costs`).  The result is
+bit-identical to summing ``hpwl`` over ``Point`` lists (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geometry import ALL_ORIENTATIONS, Orientation, Point, Rect, hpwl
+import numpy as np
+
+from ..geometry import ALL_ORIENTATIONS, Orientation, Point, Rect
 from ..model import Design, Floorplan, Placement
 from ..obs import get_logger, metrics, span
 
@@ -36,6 +44,15 @@ _OPPOSITE = {"left": "right", "right": "left", "top": "bottom", "bottom": "top"}
 # interposer legally; large enough to dominate any real HPWL while keeping
 # relative order among illegal arrangements (less overflow is preferred).
 _ILLEGAL_PENALTY = 1e9
+
+_CODE = {o: c for c, o in enumerate(ALL_ORIENTATIONS)}
+
+# Candidates scored per array pass: keeps the (rows, signals) working
+# set near 50 KB per array.
+_COST_CHUNK_ROWS = 32
+
+# Die id -> (lower-left position, orientation), in placement order.
+Arrangement = Dict[str, Tuple[Point, Orientation]]
 
 
 @dataclass
@@ -56,29 +73,54 @@ class GreedyPacker:
         self._half_cd = design.spacing.die_to_die / 2.0
         self._c_d = design.spacing.die_to_die
         self._c_b = design.spacing.die_to_boundary
-        # Buffer terminals per die: (signal index, per-orientation local pos).
-        self._die_terminals: Dict[str, List[Tuple[int, Dict[Orientation, Point]]]] = {}
-        self._escape_pos: List[Optional[Point]] = []
-        self._signal_degree: List[int] = [
-            len(s.buffer_ids) for s in design.signals
-        ]
+        self._die_index = {d.id: i for i, d in enumerate(design.dies)}
+        n, s = len(design.dies), len(design.signals)
+        # Oriented footprint per die and orientation code.
+        self._w = np.empty((n, 4))
+        self._h = np.empty((n, 4))
+        for i, die in enumerate(design.dies):
+            for c, o in enumerate(ALL_ORIENTATIONS):
+                self._w[i, c], self._h[i, c] = o.rotated_dims(
+                    die.width, die.height
+                )
+        # Local bounding box of each die's terminals of each signal, per
+        # orientation: (n, 4, S), +-inf where the die carries none.
+        t_die: List[int] = []
+        t_sig: List[int] = []  # die and signal of each terminal
+        local: List[List[Tuple[float, float]]] = []
+        esc = np.full((2, s), np.nan)
         for idx, signal in enumerate(design.signals):
-            self._escape_pos.append(
-                design.escape(signal.escape_id).position
-                if signal.escape_id is not None
-                else None
-            )
+            if signal.escape_id is not None:
+                e = design.escape(signal.escape_id).position
+                esc[:, idx] = (e.x, e.y)
             for buffer_id in signal.buffer_ids:
                 die_id = design.die_of_buffer(buffer_id)
                 die = design.die(die_id)
                 pos = die.buffer(buffer_id).position
-                per_orient = {
-                    o: o.apply(pos, die.width, die.height)
-                    for o in ALL_ORIENTATIONS
-                }
-                self._die_terminals.setdefault(die_id, []).append(
-                    (idx, per_orient)
+                t_die.append(self._die_index[die_id])
+                t_sig.append(idx)
+                local.append(
+                    [
+                        tuple(o.apply(pos, die.width, die.height))
+                        for o in ALL_ORIENTATIONS
+                    ]
                 )
+        coords = np.asarray(local, dtype=np.float64).reshape(-1, 4, 2)
+        at = (np.asarray(t_die, dtype=np.intp), slice(None), t_sig)
+        self._lo = np.full((2, n, 4, s), np.inf)
+        self._hi = np.full((2, n, 4, s), -np.inf)
+        for axis in (0, 1):
+            np.minimum.at(self._lo[axis], at, coords[:, :, axis])
+            np.maximum.at(self._hi[axis], at, coords[:, :, axis])
+        has_esc = ~np.isnan(esc)
+        self._esc_lo = np.where(has_esc, esc, np.inf)
+        self._esc_hi = np.where(has_esc, esc, -np.inf)
+        self._carrier = np.zeros((n, s), dtype=bool)
+        self._carrier[at[0], t_sig] = True
+        self._orders: Dict[Tuple[int, ...], np.ndarray] = {}
+        outline = design.interposer.outline
+        self._outline = (outline.x, outline.y, outline.x2, outline.y2)
+        self._target = design.interposer.center
 
     # -- geometry helpers -----------------------------------------------------
 
@@ -169,57 +211,155 @@ class GreedyPacker:
 
     # -- cost --------------------------------------------------------------------
 
-    def _cost(self, arrangement: Dict[str, Tuple[Point, Orientation]]) -> float:
-        """HPWL over located terminals after centring, plus legality penalty."""
-        self._cost_evals += 1
-        rects = {
-            d: self._rect(d, pos, o) for d, (pos, o) in arrangement.items()
-        }
-        box = None
-        for r in rects.values():
-            box = r if box is None else box.union(r)
-        target = self.design.interposer.center
-        off = Point(target.x - box.center.x, target.y - box.center.y)
+    def _signal_order(self, order: Tuple[int, ...]) -> np.ndarray:
+        """Signals an arrangement in ``order`` scores, in summation order.
 
-        penalty = 0.0
-        outline = self.design.interposer.outline
-        for r in rects.values():
-            clearance = outline.boundary_clearance(r.translated(off.x, off.y))
-            if clearance < self._c_b - 1e-9:
-                penalty += _ILLEGAL_PENALTY * (1.0 + (self._c_b - clearance))
+        Only signals whose die terminals are *all* inside the packed set
+        contribute ("the total HPWL of all signals in F_pair"): a
+        partially packed signal has no meaningful HPWL yet, and counting
+        its fragment would bias the packer toward escape-point geometry
+        instead of die-to-die connectivity.  They are summed in order of
+        first occurrence: by the first packed die carrying them, then by
+        signal index.
+        """
+        sig = self._orders.get(order)
+        if sig is None:
+            carrier = self._carrier[list(order)]
+            unplaced = np.ones(len(self._carrier), dtype=bool)
+            unplaced[list(order)] = False
+            complete = carrier.any(axis=0) & ~self._carrier[unplaced].any(
+                axis=0
+            )
+            first = np.argmax(carrier, axis=0)
+            sig = np.flatnonzero(complete)
+            sig = sig[np.argsort(first[sig], kind="stable")]
+            self._orders[order] = sig
+        return sig
+
+    def _costs(
+        self,
+        order: Sequence[int],
+        xs: np.ndarray,
+        ys: np.ndarray,
+        codes: np.ndarray,
+    ) -> np.ndarray:
+        """Cost of ``C`` arrangements of the dies ``order`` (die indices).
+
+        ``xs`` / ``ys`` are ``(C, k)`` lower-left positions and ``codes``
+        the ``(C, k)`` orientation codes, column ``p`` for die
+        ``order[p]``.  The cost is the HPWL over located terminals after
+        centring, plus the legality penalty, with every float operation
+        of the reference ``Point``/``Rect`` evaluation in its order: the
+        bounding box is unioned die by die, penalties are summed die by
+        die then pair by pair, and signal spans take their min/max over
+        ``table + offset`` — exact, since rounding is monotone — before
+        one sequential sum (DESIGN.md §11).
+        """
+        order = tuple(order)
+        self._cost_evals += len(xs)
+        dies = np.asarray(order)
+        w = self._w[dies, codes]
+        h = self._h[dies, codes]
+        box_x, box_y, box_w, box_h = xs[:, 0], ys[:, 0], w[:, 0], h[:, 0]
+        for p in range(1, len(order)):
+            x2 = np.maximum(box_x + box_w, xs[:, p] + w[:, p])
+            y2 = np.maximum(box_y + box_h, ys[:, p] + h[:, p])
+            box_x = np.minimum(box_x, xs[:, p])
+            box_y = np.minimum(box_y, ys[:, p])
+            box_w = x2 - box_x
+            box_h = y2 - box_y
+        off_x = self._target.x - (box_x + box_w / 2.0)
+        off_y = self._target.y - (box_y + box_h / 2.0)
+        tx = xs + off_x[:, None]
+        ty = ys + off_y[:, None]
+
+        o_x, o_y, o_x2, o_y2 = self._outline
+        clearance = np.minimum(
+            np.minimum(tx - o_x, ty - o_y),
+            np.minimum(o_x2 - (tx + w), o_y2 - (ty + h)),
+        )
+        boundary = np.where(
+            clearance < self._c_b - 1e-9,
+            _ILLEGAL_PENALTY * (1.0 + (self._c_b - clearance)),
+            0.0,
+        )
         # Die-to-die violations (overlap or gap below c_d) are impossible
         # for the attach-generated candidates but can appear during the
         # in-place orientation refinement, so penalize them here too.
-        rect_list = list(rects.values())
-        for i, a in enumerate(rect_list):
-            for b in rect_list[i + 1 :]:
-                gap = a.gap_to(b)
-                if a.overlaps(b) or gap < self._c_d - 1e-9:
-                    penalty += _ILLEGAL_PENALTY * (1.0 + (self._c_d - gap))
+        a, b = np.asarray(
+            list(combinations(range(len(order)), 2)), dtype=np.intp
+        ).reshape(-1, 2).T
+        ax, ay, bx, by = xs[:, a], ys[:, a], xs[:, b], ys[:, b]
+        ax2, ay2 = ax + w[:, a], ay + h[:, a]
+        bx2, by2 = bx + w[:, b], by + h[:, b]
+        dx = np.maximum(np.maximum(bx - ax2, ax - bx2), 0.0)
+        dy = np.maximum(np.maximum(by - ay2, ay - by2), 0.0)
+        gap = np.where((dx > 0.0) & (dy > 0.0), np.maximum(dx, dy), dx + dy)
+        tol = 1e-9
+        overlap = (
+            (ax < bx2 - tol)
+            & (bx < ax2 - tol)
+            & (ay < by2 - tol)
+            & (by < ay2 - tol)
+        )
+        spacing = np.where(
+            overlap | (gap < self._c_d - 1e-9),
+            _ILLEGAL_PENALTY * (1.0 + (self._c_d - gap)),
+            0.0,
+        )
 
-        # Gather located terminal positions per signal.  Only signals whose
-        # die terminals are *all* inside the packed set contribute ("the
-        # total HPWL of all signals in F_pair"): a partially packed signal
-        # has no meaningful HPWL yet, and counting its fragment would bias
-        # the packer toward escape-point geometry instead of die-to-die
-        # connectivity.
-        per_signal: Dict[int, List[Point]] = {}
-        for die_id, (pos, orient) in arrangement.items():
-            base = pos + off
-            for signal_idx, per_orient in self._die_terminals.get(die_id, ()):
-                per_signal.setdefault(signal_idx, []).append(
-                    per_orient[orient] + base
+        sig = self._signal_order(order)
+        penalties = boundary.shape[1] + spacing.shape[1]
+        terms = np.empty((len(xs), penalties + sig.size))
+        terms[:, : boundary.shape[1]] = boundary
+        terms[:, boundary.shape[1] : penalties] = spacing
+        hpwl = terms[:, penalties:]
+        hpwl[:] = 0.0
+        for axis, t in ((0, tx), (1, ty)):
+            lo = np.repeat(self._esc_lo[None, axis, sig], len(xs), axis=0)
+            hi = np.repeat(self._esc_hi[None, axis, sig], len(xs), axis=0)
+            for p, die in enumerate(order):
+                at = (codes[:, p, None], sig)
+                off = t[:, p, None]
+                np.minimum(lo, self._lo[axis, die][at] + off, out=lo)
+                np.maximum(hi, self._hi[axis, die][at] + off, out=hi)
+            hi -= lo
+            hpwl += hi  # 0 + span_x, then + span_y: as (dx) + (dy)
+        # Zero terms (no violation) leave the non-negative running sum
+        # unchanged, so one sequential accumulate reproduces the
+        # reference's skip-or-add loop.
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[:, -1].copy()
+
+    def _cost(self, arrangement: Arrangement) -> float:
+        """HPWL over located terminals after centring, plus legality penalty."""
+        return self._best(list(arrangement), [list(arrangement.values())])[0]
+
+    def _best(
+        self,
+        die_ids: List[str],
+        rows: List[List[Tuple[Point, Orientation]]],
+    ) -> Tuple[float, int]:
+        """Cheapest of ``rows``, each placing ``die_ids`` in that order.
+
+        Returns ``(cost, index)`` of the first minimum — the winner of the
+        reference's strict-``<`` scan over the same candidates.
+        """
+        order = [self._die_index[d] for d in die_ids]
+        xs = np.asarray([[pos.x for pos, _ in row] for row in rows])
+        ys = np.asarray([[pos.y for pos, _ in row] for row in rows])
+        codes = np.asarray([[_CODE[o] for _, o in row] for row in rows])
+        costs = np.concatenate(
+            [
+                self._costs(order, xs[at], ys[at], codes[at])
+                for at in (
+                    slice(lo, lo + _COST_CHUNK_ROWS)
+                    for lo in range(0, len(rows), _COST_CHUNK_ROWS)
                 )
-        total = penalty
-        for signal_idx, points in per_signal.items():
-            if len(points) < self._signal_degree[signal_idx]:
-                continue
-            escape = self._escape_pos[signal_idx]
-            if escape is not None:
-                points.append(escape)
-            if len(points) >= 2:
-                total += hpwl(points)
-        return total
+            ]
+        )
+        j = int(np.argmin(costs))
+        return float(costs[j]), j
 
     # -- the two stages ------------------------------------------------------------
 
@@ -246,25 +386,24 @@ class GreedyPacker:
             return self._finish(arrangement)
 
         # Stage 1: best pair (Fig. 5 lines 2-12).
+        origin = Point(0.0, 0.0)
         best_cost = float("inf")
-        best_pair: Optional[Dict[str, Tuple[Point, Orientation]]] = None
+        best_pair: Optional[Arrangement] = None
         for i, d_i in enumerate(die_ids):
             for d_j in die_ids[i + 1 :]:
+                rows = []
                 for r_i in ALL_ORIENTATIONS:
-                    rect_i = self._rect(d_i, Point(0.0, 0.0), r_i)
+                    rect_i = self._rect(d_i, origin, r_i)
                     for r_j in ALL_ORIENTATIONS:
                         for side in SIDES:
                             pos_j = self._attach_position(
                                 rect_i, d_j, r_j, side
                             )
-                            arrangement = {
-                                d_i: (Point(0.0, 0.0), r_i),
-                                d_j: (pos_j, r_j),
-                            }
-                            cost = self._cost(arrangement)
-                            if cost < best_cost:
-                                best_cost = cost
-                                best_pair = arrangement
+                            rows.append([(origin, r_i), (pos_j, r_j)])
+                cost, j = self._best([d_i, d_j], rows)
+                if cost < best_cost:
+                    best_cost = cost
+                    best_pair = dict(zip((d_i, d_j), rows[j]))
         assert best_pair is not None
         arrangement = dict(best_pair)
 
@@ -277,32 +416,37 @@ class GreedyPacker:
                 d: self._rect(d, pos, o)
                 for d, (pos, o) in arrangement.items()
             }
+            placed = list(arrangement.values())
+            others = list(placed_rects.values())
+            boundaries = self._available_boundaries(arrangement, used_sides)
             for d in die_ids:
                 if d in arrangement:
                     continue
+                rows = []
+                sites = []
                 for orient in ALL_ORIENTATIONS:
-                    for anchor, side in self._available_boundaries(
-                        arrangement, used_sides
-                    ):
+                    for anchor, side in boundaries:
                         for align in ("center", "low", "high"):
                             pos = self._attach_position(
                                 placed_rects[anchor], d, orient, side, align
                             )
                             rect = self._rect(d, pos, orient)
-                            resolved = self._resolve_overlap(
-                                rect, list(placed_rects.values())
-                            )
+                            resolved = self._resolve_overlap(rect, others)
                             if resolved is None:
                                 continue
-                            candidate = dict(arrangement)
-                            candidate[d] = (
-                                Point(resolved.x, resolved.y),
-                                orient,
+                            rows.append(
+                                placed
+                                + [(Point(resolved.x, resolved.y), orient)]
                             )
-                            cost = self._cost(candidate)
-                            if cost < best_cost:
-                                best_cost = cost
-                                best_step = (d, candidate, anchor, side)
+                            sites.append((anchor, side))
+                if not rows:
+                    continue
+                cost, j = self._best(list(arrangement) + [d], rows)
+                if cost < best_cost:
+                    best_cost = cost
+                    candidate = dict(arrangement)
+                    candidate[d] = rows[j][-1]
+                    best_step = (d, candidate) + sites[j]
             if best_step is None:
                 raise RuntimeError(
                     "greedy packing could not attach a die without overlap"
@@ -314,8 +458,8 @@ class GreedyPacker:
         return self._finish(arrangement)
 
     def _refine_orientations(
-        self, arrangement: Dict[str, Tuple[Point, Orientation]]
-    ) -> Dict[str, Tuple[Point, Orientation]]:
+        self, arrangement: Arrangement
+    ) -> Arrangement:
         """Coordinate-descent polish of the per-die orientations.
 
         The greedy attach order can lock in early orientation choices that
@@ -360,7 +504,7 @@ class GreedyPacker:
         return out
 
     def _finish(
-        self, arrangement: Dict[str, Tuple[Point, Orientation]]
+        self, arrangement: Arrangement
     ) -> GreedyPackingResult:
         """Centre the final arrangement and wrap it as a Floorplan."""
         rects = {

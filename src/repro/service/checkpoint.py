@@ -94,7 +94,9 @@ class CheckpointStore:
         self._fingerprint: Optional[Dict[str, Any]] = None
         self._records: List[Dict[str, Any]] = []
         self._dirty = False
-        self._last_flush = 0.0
+        # Never flushed: -inf keeps the first record's flush independent
+        # of the monotonic clock's origin (boot time on Linux).
+        self._last_flush = float("-inf")
 
     # -- executor protocol ---------------------------------------------------
 

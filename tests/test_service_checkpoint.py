@@ -126,6 +126,20 @@ class TestCheckpointStore:
         on_disk = json.loads(path.read_text())
         assert len(on_disk["records"]) == 2
 
+    def test_first_record_flushes_soon_after_boot(self, tmp_path, monkeypatch):
+        """time.monotonic() counts from boot on Linux: a store created on
+        a freshly booted host must still flush its first record."""
+        import repro.service.checkpoint as checkpoint
+
+        monkeypatch.setattr(checkpoint.time, "monotonic", lambda: 5.0)
+        path = tmp_path / "ckpt.json"
+        store = CheckpointStore(path, flush_interval_s=3600.0)
+        store.open_run(FINGERPRINT)
+        store.record({"shard": 0})
+        assert len(json.loads(path.read_text())["records"]) == 1
+        store.record({"shard": 1})  # throttled until the interval passes
+        assert len(json.loads(path.read_text())["records"]) == 1
+
 
 class TestCheckpointedSearch:
     def _run(self, design, checkpoint=None, workers=1):
