@@ -1,4 +1,4 @@
-"""Serial vs batched orientation-sweep evaluation (the estWL hot path).
+"""Scalar vs batched orientation-sweep evaluation (the estWL hot path).
 
 Two measured units, both asserting bit-identity before reporting any
 number:
@@ -6,16 +6,17 @@ number:
 * **kernel** — ``FastHpwlEvaluator.hpwl_batch`` against a Python loop of
   scalar ``hpwl`` calls on random candidate batches (``np.array_equal``,
   not approx);
-* **end-to-end EFA** — the full EFA_c3 search with ``batch_eval`` off vs
-  on, plus the sharded pool at 1 and 4 workers, on every requested
-  t-series design.  The winner must match *exactly* — same ``est_wl``,
-  same ``(plus_rank, minus_rank, combo_index)`` key, same placements —
-  between every pair of paths.
+* **end-to-end EFA** — the full EFA_c3 search by the scalar reference
+  (``tests/efa_reference.py``, one candidate at a time; the "serial"
+  columns) vs :func:`run_efa`, plus the sharded pool at 1 and 4
+  workers, on every requested t-series design.  The winner must match
+  *exactly* — same ``est_wl``, same ``(plus_rank, minus_rank,
+  combo_index)`` key, same placements — between every pair of paths.
 
 Full enumeration is intractable at 6 and 8 dies, so those cases run a
 deterministic enumeration *window* (``EFAConfig.plus_range`` /
 ``minus_range``): a bounded sub-search in global rank coordinates that
-serial, batched and sharded paths all walk identically, keeping the
+scalar, batched and sharded paths all walk identically, keeping the
 identity assertion meaningful while bounding serial wall-clock.
 
 Besides the usual ``benchmarks/out/`` table, results land in
@@ -26,8 +27,10 @@ Environment knobs: ``REPRO_BENCH_CASES`` (case subset) and
 ``REPRO_BATCH_BENCH_KBATCH`` (kernel batch size, default 512).
 """
 
+import importlib.util
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -35,15 +38,33 @@ import numpy as np
 import pytest
 
 from common import bench_cases, cached_case, emit_table
-from repro.floorplan import EFAConfig, FastHpwlEvaluator, run_efa
+from repro.floorplan import (
+    EFAConfig,
+    EnumerativeFloorplanner,
+    FastHpwlEvaluator,
+    run_efa,
+)
 from repro.parallel import ParallelEFAConfig, run_parallel_efa
 
 REPO_ROOT = Path(__file__).parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_batch_eval.json"
 
+
+def _load_reference():
+    """The scalar EFA reference, imported by path from the test suite."""
+    path = REPO_ROOT / "tests" / "efa_reference.py"
+    spec = importlib.util.spec_from_file_location("efa_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+scalar_efa = _load_reference().scalar_efa
+
 # Deterministic enumeration windows per die count: full space where the
 # enumeration finishes in seconds, a bounded (plus, minus) rank window
-# where it would not.  Windows use global ranks, so every path (serial,
+# where it would not.  Windows use global ranks, so every path (scalar,
 # batched, sharded) reports comparable candidate keys.  The 6/8-die
 # windows are centred on grid-like Γ+ permutations that admit *legal*
 # packings — rank 269 at n=6 is (2,1,0,5,4,3) (a 3x2 grid against the
@@ -61,29 +82,34 @@ def _kernel_batch() -> int:
     return int(os.environ.get("REPRO_BATCH_BENCH_KBATCH", "512"))
 
 
-def _efa_config(design, batch_eval: bool) -> EFAConfig:
+def _efa_config(design) -> EFAConfig:
     window = _WINDOWS[len(design.dies)]
     return EFAConfig(
         illegal_cut=True,
         inferior_cut=True,
-        batch_eval=batch_eval,
         plus_range=window["plus_range"],
         minus_range=window["minus_range"],
     )
 
 
-def _placements(design, result):
-    return {d.id: result.floorplan.placement(d.id) for d in design.dies}
+def _placements(design, floorplan):
+    return {d.id: floorplan.placement(d.id) for d in design.dies}
 
 
 def _assert_same_winner(design, a, b, label):
-    assert a.found == b.found, label
-    if not a.found:
+    """``a`` (a run or the scalar reference) and run ``b`` agree."""
+    assert (a.candidate is not None) == b.found, label
+    if not b.found:
         return
     assert a.est_wl == b.est_wl, label  # exact, not approx
     assert a.candidate_key == b.candidate_key, label
     assert a.candidate == b.candidate, label
-    assert _placements(design, a) == _placements(design, b), label
+    realized = EnumerativeFloorplanner(design).realize_candidate(
+        *a.candidate
+    )
+    assert _placements(design, realized) == _placements(
+        design, b.floorplan
+    ), label
 
 
 @pytest.mark.benchmark(group="batch-eval-kernel")
@@ -127,7 +153,7 @@ def test_kernel_identity_and_speed(benchmark):
 
 @pytest.mark.benchmark(group="batch-eval-efa")
 def test_efa_identity_and_speed(benchmark):
-    """Serial vs batched vs sharded EFA on the t-series designs."""
+    """Scalar reference vs batched vs sharded EFA on the t-series."""
     cases = bench_cases()
     rows = []
     case_records = {}
@@ -136,32 +162,29 @@ def test_efa_identity_and_speed(benchmark):
         out = {}
         for name in cases:
             design = cached_case(name)
-            serial = run_efa(design, _efa_config(design, batch_eval=False))
-            batched = run_efa(design, _efa_config(design, batch_eval=True))
+            t0 = time.perf_counter()
+            serial = scalar_efa(design, _efa_config(design))
+            serial_s = time.perf_counter() - t0
+            batched = run_efa(design, _efa_config(design))
             w1 = run_parallel_efa(
                 design,
-                ParallelEFAConfig(
-                    workers=1, efa=_efa_config(design, batch_eval=True)
-                ),
+                ParallelEFAConfig(workers=1, efa=_efa_config(design)),
             )
             w4 = run_parallel_efa(
                 design,
-                ParallelEFAConfig(
-                    workers=4, efa=_efa_config(design, batch_eval=True)
-                ),
+                ParallelEFAConfig(workers=4, efa=_efa_config(design)),
             )
-            out[name] = (design, serial, batched, w1, w4)
+            out[name] = (design, serial, serial_s, batched, w1, w4)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     for name in cases:
-        design, serial, batched, w1, w4 = results[name]
+        design, serial, s_t, batched, w1, w4 = results[name]
         _assert_same_winner(design, serial, batched, f"{name}: batched")
         _assert_same_winner(design, serial, w1, f"{name}: workers=1")
         _assert_same_winner(design, serial, w4, f"{name}: workers=4")
         evals = serial.stats.floorplans_evaluated
-        s_t = serial.stats.runtime_s
         b_t = batched.stats.runtime_s
         window = _WINDOWS[len(design.dies)]
         case_records[name] = {
@@ -197,7 +220,7 @@ def test_efa_identity_and_speed(benchmark):
     _merge_json({"efa": case_records})
     emit_table(
         "batch_eval.txt",
-        "Batched orientation-sweep evaluation vs serial EFA_c3",
+        "Batched orientation-sweep evaluation vs scalar EFA_c3",
         [
             "case",
             "dies",

@@ -7,7 +7,7 @@ from .base import (
     TimeBudget,
     validate_sa_schedule,
 )
-from .batch import MAX_SWEEP_DIES, OrientationSweep, pack_indices
+from .batch import OrientationSweep, pack_indices
 from .btree import (
     BStarTree,
     BTreeFloorplanner,
@@ -19,7 +19,6 @@ from .dop import run_efa_dop
 from .efa import (
     EFAConfig,
     EnumerativeFloorplanner,
-    resolve_batch_eval,
     run_efa,
 )
 from .estimator import (
@@ -63,7 +62,6 @@ __all__ = [
     "FastHpwlEvaluator",
     "FloorplanResult",
     "GreedyPacker",
-    "MAX_SWEEP_DIES",
     "OrientationSweep",
     "pack_indices",
     "validate_sa_schedule",
@@ -77,7 +75,6 @@ __all__ = [
     "orientation_code",
     "orientation_from_code",
     "predetermine_orientations",
-    "resolve_batch_eval",
     "run_efa",
     "run_efa_dop",
     "run_efa_mix",

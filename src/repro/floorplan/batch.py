@@ -10,11 +10,11 @@ sweep vectorially:
 * :func:`pack_indices` — the scalar longest-path packing over flat index
   lists (moved here from ``EnumerativeFloorplanner._pack`` so the SA
   floorplanners can share it without importing the enumerator);
-* :class:`OrientationSweep` — precomputes the ``(4^n, n)`` orientation-code
-  matrix and the per-combination swollen dimensions once, then packs *all*
-  combinations of a sequence pair in one batched longest-path pass
-  (``O(n^2)`` numpy operations over length-``4^n`` arrays instead of
-  ``4^n`` Python-level packings);
+* :class:`OrientationSweep` — packs *all* ``4^n`` orientation
+  combinations of a sequence pair in batched longest-path passes
+  (``O(n^2)`` numpy operations over chunk-length arrays instead of
+  ``4^n`` Python-level packings), one product-order chunk of at most
+  ``4^SWEEP_SUFFIX`` combinations at a time;
 * :class:`MinusBlocks` — the fixed-orientation (EFA_dop) counterpart:
   splits the γ− permutations into lexicographic blocks of up to ``6!``
   rows sharing a prefix and packs a whole block against one γ+ in one
@@ -30,12 +30,11 @@ is exact, so the order does not matter.  The tests and
 ``benchmarks/bench_batch_eval.py`` assert this with ``==``, not approx.
 
 **Memory contract.**  An ``OrientationSweep`` holds a handful of
-``(n, 4^n)`` float64 tables (the per-combination dims and the packing
-buffers), so its footprint is ``O(n * 4^n)`` — about 4 MB per table at
-``n = 8``.  Construction refuses die counts whose sweep would not fit;
-EFA falls back to the scalar loop there (where the ``n!^2`` outer
-enumeration is unreachable anyway).  A γ− block pack holds a few
-``(n, 6!)`` float64 tables, about 46 KB each at ``n = 8``.
+``(n, 4^k)`` float64 tables (the per-combination dims and the packing
+buffers), ``k = min(n, SWEEP_SUFFIX)``: about 4 MB per table at
+``n = 8`` and never more than ``n * 4^8`` entries each at any die count.
+A γ− block pack holds a few ``(n, 6!)`` float64 tables, about 46 KB
+each at ``n = 8``.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ import numpy as np
 
 from ..seqpair import permutation_at_rank
 
-# Largest die count a sweep will materialize (4^12 * 12 * 8 B = 1.5 GB is
-# already absurd; EFA's n!^2 outer loop dies long before this).
-MAX_SWEEP_DIES = 10
+# Suffix length of an orientation-sweep chunk: a chunk holds the 4^k
+# combinations that share the codes of their first n - k dies,
+# k = min(n, SWEEP_SUFFIX).  Every die count up to 8 sweeps in one chunk.
+SWEEP_SUFFIX = 8
 
 # Suffix length of a γ− block: a block holds the k! permutations that
 # share their first n - k entries, k = min(n, BLOCK_SUFFIX).  6! rows pack
@@ -60,9 +60,9 @@ BLOCK_SUFFIX = 6
 
 __all__ = [
     "BLOCK_SUFFIX",
-    "MAX_SWEEP_DIES",
     "MinusBlocks",
     "OrientationSweep",
+    "SWEEP_SUFFIX",
     "die_major",
     "pack_block",
     "pack_indices",
@@ -115,58 +115,81 @@ def pack_indices(
 
 
 class OrientationSweep:
-    """All ``4^n`` orientation variants of a sequence pair, packed at once.
+    """All ``4^n`` orientation variants of a sequence pair, in chunks.
 
     ``dims_by_code[i][c]`` is die ``i``'s swollen ``(width, height)`` under
     orientation code ``c`` (the :func:`repro.floorplan.orientation_code`
     numbering).  The combination axis is ordered exactly like
-    ``itertools.product(range(4), repeat=n)`` — row ``k`` of :attr:`codes`
-    is the ``k``-th combination of EFA's serial loop, so a sweep-local
-    argmin index *is* the serial ``combo_index`` tie-break key.
+    ``itertools.product(range(4), repeat=n)`` and split into
+    :attr:`chunks` runs of :attr:`rows` combinations: chunk ``c`` fixes
+    the codes of the first ``n - k`` dies to the base-4 digits of ``c``
+    and varies the last ``k = min(n, SWEEP_SUFFIX)`` from one suffix
+    table, so its row ``r`` is global combination ``c * rows + r`` — the
+    ``combo_index`` tie-break key.
     """
 
     def __init__(self, dims_by_code: Sequence[Sequence[Tuple[float, float]]]):
         n = len(dims_by_code)
-        if not 1 <= n <= MAX_SWEEP_DIES:
-            raise ValueError(
-                f"orientation sweep supports 1..{MAX_SWEEP_DIES} dies, "
-                f"got {n}"
-            )
+        k = min(n, SWEEP_SUFFIX)
         self.n = n
-        self.size = 4 ** n
-        # (4^n, n) codes in itertools.product order: first die slowest,
-        # last die fastest — np.indices in C order matches exactly.
-        self.codes = (
-            np.indices((4,) * n).reshape(n, -1).T.copy().astype(np.int64)
-        )
-        # Per-die, per-combination swollen dims, stored (n, 4^n) so the
+        self._prefix = n - k
+        self.rows = 4 ** k
+        self.chunks = 4 ** (n - k)
+        # Per-die swollen dims by orientation code, (n, 4).
+        self._w4 = np.asarray([[d[0] for d in per] for per in dims_by_code])
+        self._h4 = np.asarray([[d[1] for d in per] for per in dims_by_code])
+        # (4^k, n) codes of the current chunk: the suffix columns in
+        # itertools.product order (np.indices in C order matches exactly),
+        # the prefix columns filled per chunk.
+        self.codes = np.empty((self.rows, n), dtype=np.int64)
+        self.codes[:, n - k :] = np.indices((4,) * k).reshape(k, -1).T
+        # Per-die, per-combination swollen dims, stored (n, 4^k) so the
         # packing loop slices contiguous rows.
-        self._w = np.empty((n, self.size))
-        self._h = np.empty((n, self.size))
-        for i in range(n):
-            w4 = np.asarray([dims_by_code[i][c][0] for c in range(4)])
-            h4 = np.asarray([dims_by_code[i][c][1] for c in range(4)])
-            self._w[i] = w4[self.codes[:, i]]
-            self._h[i] = h4[self.codes[:, i]]
+        self._w = np.empty((n, self.rows))
+        self._h = np.empty((n, self.rows))
+        for i in range(n - k, n):
+            self._w[i] = self._w4[i][self.codes[:, i]]
+            self._h[i] = self._h4[i][self.codes[:, i]]
+        self._chunk = -1
+        self._load(0)
         # Packing buffers, reused across sequence pairs (one sweep per
         # planner instance; never shared across threads/processes).
-        self._xs = np.empty((n, self.size))
-        self._ys = np.empty((n, self.size))
-        self._wout = np.empty(self.size)
-        self._hout = np.empty(self.size)
-        self._tmp = np.empty(self.size)
+        self._xs = np.empty((n, self.rows))
+        self._ys = np.empty((n, self.rows))
+        self._wout = np.empty(self.rows)
+        self._hout = np.empty(self.rows)
+        self._tmp = np.empty(self.rows)
+
+    def combo_codes(self, combo: int) -> Tuple[int, ...]:
+        """Orientation codes of global combination ``combo``: its ``n``
+        base-4 digits, first die most significant."""
+        n = self.n
+        return tuple((combo >> 2 * (n - 1 - i)) & 3 for i in range(n))
+
+    def _load(self, chunk: int) -> None:
+        """Fill the prefix dies' codes and dims for ``chunk``."""
+        if chunk == self._chunk:
+            return
+        prefix = self.combo_codes(chunk * self.rows)[: self._prefix]
+        for i, code in enumerate(prefix):
+            self.codes[:, i] = code
+            self._w[i] = self._w4[i, code]
+            self._h[i] = self._h4[i, code]
+        self._chunk = chunk
 
     def pack_all(
-        self, minus: Sequence[int], rank_plus: Sequence[int]
+        self, minus: Sequence[int], rank_plus: Sequence[int], chunk: int = 0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Pack every orientation combination of one sequence pair.
+        """Pack one chunk of a sequence pair's orientation combinations.
 
         Returns ``(xs, ys, width, height)`` where ``xs``/``ys`` are
-        ``(n, 4^n)`` packing origins (die axis first) and ``width`` /
-        ``height`` are length-``4^n`` outline extents.  The returned
+        ``(n, rows)`` packing origins (die axis first) and ``width`` /
+        ``height`` are length-``rows`` outline extents; :attr:`codes`
+        then holds the chunk's ``(rows, n)`` code matrix.  The returned
         arrays are internal buffers overwritten by the next call — consume
         (or copy) them before packing again.
         """
+        self._load(chunk)
         n = self.n
         xs, ys = self._xs, self._ys
         width, height, tmp = self._wout, self._hout, self._tmp

@@ -20,15 +20,16 @@ die-to-die constraint into the packing, and the outline check shrinks the
 interposer by ``c_b - c_d / 2`` per side so that the actual (unswollen)
 dies keep ``c_b`` boundary clearance.
 
-Implementation note: the search iterates over *index* permutations and
-packs with flat lists — with up to ``n!^2 * 4^n`` candidates this inner
-loop dominates the floorplanning stage, so no :class:`SequencePair` or
-dict machinery is allowed inside it.  The semantics are identical to
-:func:`repro.seqpair.pack_sequence_pair`, which the tests cross-check.
-Per sequence pair the 4^n orientation sweep runs batched
+Implementation note: the search iterates over *index* permutations — with
+up to ``n!^2 * 4^n`` candidates the inner loop dominates the floorplanning
+stage, so no :class:`SequencePair` or dict machinery is allowed inside it.
+Every candidate is packed and scored by one of two batched kernels: per
+sequence pair, the 4^n orientation sweep in product-order chunks
 (:class:`~repro.floorplan.batch.OrientationSweep`); with fixed
-orientations, blocks of γ− permutations are packed and scored at once
-(:class:`~repro.floorplan.batch.MinusBlocks`, DESIGN.md §11).
+orientations, blocks of γ− permutations at once
+(:class:`~repro.floorplan.batch.MinusBlocks`, DESIGN.md §11).  Both are
+bit-identical to the scalar :func:`~repro.floorplan.batch.pack_indices`
+plus ``hpwl`` per candidate, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +58,6 @@ from ..seqpair import (
 )
 from .base import FloorplanResult, SearchStats, TimeBudget
 from .batch import (
-    MAX_SWEEP_DIES,
     MinusBlocks,
     OrientationSweep,
     die_major,
@@ -68,69 +68,11 @@ from .estimator import FastHpwlEvaluator, orientation_code
 
 _EPS = 1e-9
 
-# ``batch_eval="auto"`` thresholds.  Two regimes:
-#
-# * With a known per-row scratch width (``row_bytes``, supplied by the
-#   evaluator), auto is memory-aware: the chunker already bounds each
-#   sweep chunk to the :func:`repro.floorplan.estimator.batch_chunk_bytes`
-#   budget, so the batched path only loses when the sweep is small (n <=
-#   AUTO_SERIAL_MAX_DIES gives just 4^n rows to amortize over) AND a
-#   single candidate's row is so wide that fewer than
-#   AUTO_SERIAL_MIN_CHUNK_ROWS rows fit the budget — at that point each
-#   chunk streams a working set the cache cannot hold and batching
-#   amortizes nothing over the scalar loop.
-# * Without a row width (legacy callers), the conservative PR-7 rule
-#   stands: serial on small-sweep, terminal-heavy designs (the regime
-#   where the pre-slot kernel measured 0.90x on t4b).
-#
-# Since the padded-slot kernel landed, every bench case resolves to
-# batched under the memory-aware rule (t4b now measures ~2x vs serial);
-# the fallback survives as a safety valve for designs whose slot tables
-# degenerate (one signal spanning hundreds of terminals).
-AUTO_SERIAL_MAX_DIES = 4
-AUTO_SERIAL_MIN_TERMINALS = 512
-AUTO_SERIAL_MIN_CHUNK_ROWS = 16
-
-
-def resolve_batch_eval(
-    batch_eval,
-    die_count: int,
-    terminal_count: int,
-    row_bytes: Optional[int] = None,
-) -> bool:
-    """Resolve an ``EFAConfig.batch_eval`` value to a concrete bool.
-
-    ``True``/``False`` pass through; ``"auto"`` picks per design (see the
-    threshold constants above).  ``row_bytes`` — the evaluator's live
-    scratch bytes per batch row — switches auto to the memory-aware rule;
-    omitted, the legacy terminal-count rule applies.  Either way the
-    chosen path returns the bit-identical winner — auto only trades
-    wall-clock.
-    """
-    if batch_eval == "auto":
-        if row_bytes is not None:
-            from .estimator import batch_chunk_bytes
-
-            rows = batch_chunk_bytes() // max(1, row_bytes)
-            return not (
-                die_count <= AUTO_SERIAL_MAX_DIES
-                and rows < AUTO_SERIAL_MIN_CHUNK_ROWS
-            )
-        return not (
-            die_count <= AUTO_SERIAL_MAX_DIES
-            and terminal_count >= AUTO_SERIAL_MIN_TERMINALS
-        )
-    if isinstance(batch_eval, bool):
-        return batch_eval
-    raise ValueError(
-        f"batch_eval must be True, False or 'auto', got {batch_eval!r}"
-    )
-
 logger = get_logger("floorplan.efa")
 # hpwl_batch scratch budget for scoring the legal rows of one γ− block.
 _BLOCK_SCORE_BYTES = 1 << 18
-# Progress log cadence: every this-many candidates at the existing
-# periodic budget-check site, so the hot loop gains no extra branches.
+# Progress log cadence: every this-many candidates, checked at the loop's
+# unit boundaries (one γ− block or one sequence pair's sweep).
 _PROGRESS_EVERY = 1 << 18
 
 
@@ -149,14 +91,6 @@ class EFAConfig:
     inferior_cut: bool = False
     fixed_orientations: Optional[Mapping[str, Orientation]] = None
     time_budget_s: Optional[float] = None
-    # Score each sequence pair's whole 4^n orientation sweep in one
-    # batched pack + hpwl_batch pass (bit-identical result; see
-    # repro.floorplan.batch).  Fixed-orientation runs pack γ− blocks
-    # either way.  False = the scalar per-combination loop;
-    # "auto" = pick per design via :func:`resolve_batch_eval` (serial
-    # only on small-sweep, terminal-heavy designs where the batched
-    # kernel is memory-bound).
-    batch_eval: "bool | str" = True
     # Optional enumeration window: restrict gamma_plus / gamma_minus to
     # lexicographic rank intervals [lo, hi).  None = the full n! range.
     # Windows compose with the parallel sharder (shards partition the
@@ -188,10 +122,11 @@ class EnumerativeFloorplanner:
         self.evaluator = FastHpwlEvaluator(design)
         self._die_ids = self.evaluator.die_ids
         self._prepare_dims()
-        # Batched orientation-sweep tables, built lazily on the first
-        # batched run() and reused across calls: the parallel executor
-        # runs many shards through one planner, and rebuilding the
-        # (n, 4^n) tables per shard wastes ~15ms apiece at n=8.
+        # Orientation-sweep tables, built lazily on the first run()
+        # without fixed orientations and reused across calls: the
+        # parallel executor runs many shards through one planner, and
+        # rebuilding the (n, 4^k) tables per shard wastes ~15ms apiece
+        # at n=8.
         self._sweep: Optional[OrientationSweep] = None
         self._blocks = MinusBlocks(len(self._die_ids))
 
@@ -299,9 +234,9 @@ class EnumerativeFloorplanner:
             )
         stats = SearchStats(sequence_pairs_total=(hi - lo) * (mhi - mlo))
         budget = TimeBudget(cfg.time_budget_s)
-        # Heartbeats ride the loop's existing periodic sites (per plus
-        # permutation, per batched sweep, every 4096 scalar candidates),
-        # so a disabled reporter costs one branch at each.
+        # Heartbeats ride the loop's unit boundaries (one γ− block or one
+        # sequence pair's sweep), so a disabled reporter costs one branch
+        # at each.
         progress = Progress(
             cfg.name,
             total=stats.sequence_pairs_total,
@@ -310,6 +245,7 @@ class EnumerativeFloorplanner:
         )
         start = time.monotonic()
         log_progress = logger.isEnabledFor(10)  # logging.DEBUG
+        next_log = _PROGRESS_EVERY
         logger.info(
             "%s: enumerating %d dies, %d sequence pairs%s%s",
             cfg.name,
@@ -321,7 +257,6 @@ class EnumerativeFloorplanner:
             else f", budget {cfg.time_budget_s:.1f}s",
         )
 
-        evaluator = self.evaluator
         best_wl = float("inf")
         best: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
         # Global enumeration rank of `best`: (plus_rank, minus_rank,
@@ -344,7 +279,7 @@ class EnumerativeFloorplanner:
         min_pruned_bound = float("inf")
 
         if cfg.fixed_orientations is not None:
-            fixed_codes: Optional[Tuple[int, ...]] = tuple(
+            fixed_codes = tuple(
                 orientation_code(cfg.fixed_orientations[d])
                 for d in self._die_ids
             )
@@ -356,50 +291,9 @@ class EnumerativeFloorplanner:
                 np.asarray(v) for v in zip(*fixed_dims)
             )
         else:
-            fixed_codes = None
-        # Batched sweep: only worthwhile with a real orientation sweep to
-        # amortize over (EFA_dop has one combination per sequence pair),
-        # and only while the (n, 4^n) sweep tables stay small.
-        use_batch = (
-            resolve_batch_eval(
-                cfg.batch_eval,
-                n,
-                evaluator.terminal_count,
-                row_bytes=evaluator.batch_row_bytes(),
-            )
-            and fixed_codes is None
-            and n <= MAX_SWEEP_DIES
-        )
-        if use_batch:
+            fixed = None
             if self._sweep is None:
                 self._sweep = OrientationSweep(self._dims_by_code)
-            sweep = self._sweep
-        else:
-            sweep = None
-        if fixed_codes is not None or use_batch:
-            # γ− blocks (fixed orientations) or the sweep's code matrix.
-            orient_combos: Optional[Tuple[Tuple[int, ...], ...]] = None
-        else:
-            orient_combos = tuple(product(range(4), repeat=n))
-        # Chunk the sweep so one hpwl_batch call's live scratch stays
-        # inside the byte budget; the evaluator derives the row count
-        # from its actual row width and dtype (see batch_chunk_rows).
-        chunk_size = evaluator.batch_chunk_rows()
-
-        die_x = np.empty(n)
-        die_y = np.empty(n)
-        codes_arr = np.empty(n, dtype=np.int64)
-        dims_by_code = self._dims_by_code
-        low_dims = self._low_dims
-        thin_dims = self._thin_dims
-        avail_w = self._avail_w + _EPS
-        avail_h = self._avail_h + _EPS
-        center_x = self._center.x
-        center_y = self._center.y
-        half_cd = self._half_cd
-        use_illegal = cfg.illegal_cut
-        use_inferior = cfg.inferior_cut
-        candidate_count = 0
 
         indices = tuple(range(n))
         rank_plus = [0] * n
@@ -418,6 +312,13 @@ class EnumerativeFloorplanner:
             elif wl == best_wl and best is not None and key < best_key:
                 best, best_key = candidate, key
 
+        def done() -> int:
+            return (
+                stats.sequence_pairs_explored
+                + stats.pruned_illegal
+                + stats.pruned_inferior
+            )
+
         if (lo, hi) == (0, n_fact):
             plus_iter = enumerate(permutations(indices))
         else:
@@ -427,232 +328,80 @@ class EnumerativeFloorplanner:
         for plus_rank, plus in plus_iter:
             for r, i in enumerate(plus):
                 rank_plus[i] = r
-            if incumbent is not None:
-                shared = incumbent.peek()
-                if shared < prune_wl:
-                    prune_wl = shared
-            timed_out = False
-            if fixed_codes is not None:
-                # One orientation per pair: pack and score γ− blocks at
-                # once.  The budget and the shared incumbent are checked
-                # between blocks, and the cuts prune against the bound as
-                # it stands at the start of each block.
+            # One unit per step: a γ− block (fixed orientations) or one
+            # sequence pair's orientation sweep, each first-ranked.
+            if fixed is not None:
                 rank_arr = np.asarray(rank_plus, dtype=self._blocks.dtype)
-                for first_rank, minus_rows in self._blocks.blocks(mlo, mhi):
-                    if budget.expired:
-                        timed_out = True
-                        break
-                    if incumbent is not None:
-                        shared = incumbent.peek()
-                        if shared < prune_wl:
-                            prune_wl = shared
-                    wl, row, pruned_bound = self._scan_block(
-                        minus_rows, rank_arr, fixed, prune_wl, stats
+                units = self._blocks.blocks(mlo, mhi)
+            elif cfg.minus_range is None:
+                units = enumerate(permutations(indices))
+            else:
+                units = zip(
+                    range(mlo, mhi), iter_permutations_range(n, mlo, mhi)
+                )
+            for first_rank, minus in units:
+                if budget.expired:
+                    stats.timed_out = True
+                    break
+                if incumbent is not None:
+                    shared = incumbent.peek()
+                    if shared < prune_wl:
+                        prune_wl = shared
+                # The cuts prune against the bound as it stands at the
+                # start of each unit.
+                if fixed is None:
+                    wl, row, pruned_bound = self._scan_sweep(
+                        minus, rank_plus, prune_wl, stats, budget
                     )
-                    if pruned_bound < min_pruned_bound:
-                        min_pruned_bound = pruned_bound
+                    if row >= 0:
+                        fold(
+                            wl,
+                            (plus_rank, first_rank, row),
+                            (plus, minus, self._sweep.combo_codes(row)),
+                        )
+                else:
+                    wl, row, pruned_bound = self._scan_block(
+                        minus, rank_arr, fixed, prune_wl, stats
+                    )
                     if row >= 0:
                         fold(
                             wl,
                             (plus_rank, first_rank + row, 0),
                             (
                                 plus,
-                                tuple(int(i) for i in minus_rows[row]),
+                                tuple(int(i) for i in minus[row]),
                                 fixed_codes,
                             ),
                         )
-                    candidate_count += len(minus_rows)
-                    progress.update(
-                        done=stats.sequence_pairs_explored
-                        + stats.pruned_illegal
-                        + stats.pruned_inferior,
-                        best=best_wl,
-                        candidates=candidate_count,
-                    )
-                # The blocks covered the window; no per-pair loop.
-                minus_iter = ()
-            elif cfg.minus_range is None:
-                minus_iter = enumerate(permutations(indices))
-            else:
-                minus_iter = zip(
-                    range(mlo, mhi), iter_permutations_range(n, mlo, mhi)
+                if pruned_bound < min_pruned_bound:
+                    min_pruned_bound = pruned_bound
+                candidates = (
+                    stats.floorplans_evaluated
+                    + stats.floorplans_rejected_outline
                 )
-            for minus_rank, minus in minus_iter:
-                if budget.expired:
-                    timed_out = True
+                progress.update(
+                    done=done(), best=best_wl, candidates=candidates
+                )
+                if log_progress and candidates >= next_log:
+                    next_log = candidates + _PROGRESS_EVERY
+                    logger.debug(
+                        "%s: %d candidates, %d/%d sequence pairs, "
+                        "best estWL %.4f",
+                        cfg.name,
+                        candidates,
+                        stats.sequence_pairs_explored,
+                        stats.sequence_pairs_total,
+                        best_wl,
+                    )
+                if stats.timed_out:
                     break
-                if sweep is not None and incumbent is not None:
-                    # The scalar loop pulls the shared incumbent every
-                    # 4096 candidates; the batched loop pulls once per
-                    # sequence pair (each sweep is >= 4^n candidates).
-                    shared = incumbent.peek()
-                    if shared < prune_wl:
-                        prune_wl = shared
-                if use_illegal or use_inferior:
-                    low_pack = self._pack(minus, rank_plus, low_dims)
-                    thin_pack = self._pack(minus, rank_plus, thin_dims)
-                    if use_illegal and (
-                        low_pack[3] > avail_h or thin_pack[2] > avail_w
-                    ):
-                        stats.pruned_illegal += 1
-                        continue
-                    if use_inferior and prune_wl < float("inf"):
-                        stats.lower_bound_evaluations += 1
-                        bound = self._lower_bound(low_pack, thin_pack)
-                        if bound > prune_wl + _EPS:
-                            stats.pruned_inferior += 1
-                            if bound < min_pruned_bound:
-                                min_pruned_bound = bound
-                            continue
-
-                stats.sequence_pairs_explored += 1
-                if sweep is not None:
-                    # Batched path: pack all 4^n orientation variants of
-                    # this sequence pair in one vectorized longest-path
-                    # pass, score the legal ones with chunked hpwl_batch
-                    # calls, and fold the sweep winner into the running
-                    # best.  Outline checks, wirelengths and the
-                    # (plus_rank, minus_rank, combo_index) tie-break are
-                    # bit-identical to the scalar loop below.
-                    xs_b, ys_b, w_b, h_b = sweep.pack_all(minus, rank_plus)
-                    legal_idx = np.flatnonzero(
-                        ~((w_b > avail_w) | (h_b > avail_h))
-                    )
-                    candidate_count += sweep.size
-                    stats.floorplans_rejected_outline += (
-                        sweep.size - legal_idx.size
-                    )
-                    sweep_wl = float("inf")
-                    sweep_combo = -1
-                    if legal_idx.size:
-                        off_x_b = center_x - w_b / 2.0 + half_cd
-                        off_y_b = center_y - h_b / 2.0 + half_cd
-                        xs_t = xs_b.T  # (4^n, n) candidate-major views
-                        ys_t = ys_b.T
-                        for lo_c in range(0, legal_idx.size, chunk_size):
-                            sel = legal_idx[lo_c : lo_c + chunk_size]
-                            wl_b = evaluator.hpwl_batch(
-                                xs_t[sel] + off_x_b[sel, None],
-                                ys_t[sel] + off_y_b[sel, None],
-                                sweep.codes[sel],
-                            )
-                            stats.floorplans_evaluated += sel.size
-                            j = int(np.argmin(wl_b))
-                            if wl_b[j] < sweep_wl:
-                                # Strict < keeps the earliest chunk on
-                                # ties; argmin keeps the earliest index
-                                # within a chunk — together the lowest
-                                # combo_index, like the scalar loop.
-                                sweep_wl = float(wl_b[j])
-                                sweep_combo = int(sel[j])
-                            if budget.expired:
-                                timed_out = True
-                                break
-                    if sweep_combo >= 0:
-                        fold(
-                            sweep_wl,
-                            (plus_rank, minus_rank, sweep_combo),
-                            (
-                                plus,
-                                minus,
-                                tuple(
-                                    int(c) for c in sweep.codes[sweep_combo]
-                                ),
-                            ),
-                        )
-                    progress.update(
-                        done=stats.sequence_pairs_explored
-                        + stats.pruned_illegal
-                        + stats.pruned_inferior,
-                        best=best_wl,
-                        candidates=candidate_count,
-                    )
-                    if log_progress and candidate_count % _PROGRESS_EVERY < sweep.size:
-                        logger.debug(
-                            "%s: %d candidates, %d/%d sequence pairs, "
-                            "best estWL %.4f",
-                            cfg.name,
-                            candidate_count,
-                            stats.sequence_pairs_explored,
-                            stats.sequence_pairs_total,
-                            best_wl,
-                        )
-                    if timed_out:
-                        break
-                    continue
-                for combo_idx, combo in enumerate(orient_combos):
-                    candidate_count += 1
-                    # One sequence pair can hide 4^n inner candidates;
-                    # re-check the budget (and pull the shared incumbent)
-                    # periodically so truncation stays sharp even inside a
-                    # single sequence pair.
-                    if candidate_count % 4096 == 0:
-                        if budget.expired:
-                            timed_out = True
-                            break
-                        if incumbent is not None:
-                            shared = incumbent.peek()
-                            if shared < prune_wl:
-                                prune_wl = shared
-                        progress.update(
-                            done=stats.sequence_pairs_explored
-                            + stats.pruned_illegal
-                            + stats.pruned_inferior,
-                            best=best_wl,
-                            candidates=candidate_count,
-                        )
-                        if (
-                            log_progress
-                            and candidate_count % _PROGRESS_EVERY == 0
-                        ):
-                            logger.debug(
-                                "%s: %d candidates, %d/%d sequence pairs, "
-                                "best estWL %.4f",
-                                cfg.name,
-                                candidate_count,
-                                stats.sequence_pairs_explored,
-                                stats.sequence_pairs_total,
-                                best_wl,
-                            )
-                    dims = [dims_by_code[i][combo[i]] for i in indices]
-                    xs, ys, w, h = self._pack(minus, rank_plus, dims)
-                    if w > avail_w or h > avail_h:
-                        stats.floorplans_rejected_outline += 1
-                        continue
-                    # Centre the arrangement on the interposer (Fig. 3
-                    # line 5); positions below are of the *actual* dies
-                    # (swollen position plus the c_d/2 inset).
-                    off_x = center_x - w / 2.0 + half_cd
-                    off_y = center_y - h / 2.0 + half_cd
-                    for i in indices:
-                        die_x[i] = xs[i] + off_x
-                        die_y[i] = ys[i] + off_y
-                        codes_arr[i] = combo[i]
-                    wl = evaluator.hpwl(die_x, die_y, codes_arr)
-                    stats.floorplans_evaluated += 1
-                    if wl <= best_wl:
-                        fold(
-                            wl,
-                            (plus_rank, minus_rank, combo_idx),
-                            (plus, minus, combo),
-                        )
-                if timed_out:
-                    break
-            progress.update(
-                done=stats.sequence_pairs_explored
-                + stats.pruned_illegal
-                + stats.pruned_inferior,
-                best=best_wl,
-            )
-            if timed_out:
-                stats.timed_out = True
+            progress.update(done=done(), best=best_wl)
+            if stats.timed_out:
                 break
 
         stats.runtime_s = time.monotonic() - start
         progress.finish(
-            done=stats.sequence_pairs_explored
-            + stats.pruned_illegal
-            + stats.pruned_inferior,
+            done=done(),
             best=best_wl,
             evaluated=stats.floorplans_evaluated,
         )
@@ -688,6 +437,82 @@ class EnumerativeFloorplanner:
 
     # -- internals ---------------------------------------------------------------
 
+    def _scan_sweep(
+        self,
+        minus: Tuple[int, ...],
+        rank_plus: List[int],
+        prune_wl: float,
+        stats: SearchStats,
+        budget: TimeBudget,
+    ) -> Tuple[float, int, float]:
+        """Score one sequence pair's 4^n orientation sweep.
+
+        The counterpart of :meth:`_scan_block`, with the same return
+        ``(wl, combo, pruned_bound)``: the sweep's lowest wirelength, its
+        lowest global combination index (``-1`` when the pair was cut or
+        nothing is legal), and the Eq. 2 bound that pruned the pair
+        (``inf`` otherwise).  The cuts run on the pair's scalar F_low /
+        F_thin packs; then each chunk of combinations is packed at once,
+        outline-checked, and its legal rows scored with ``hpwl_batch``
+        calls of ``batch_chunk_rows`` rows.  The budget is checked
+        between those calls; on expiry the sweep stops early, sets
+        ``stats.timed_out`` and returns its best so far.
+        """
+        cfg = self.config
+        avail_w = self._avail_w + _EPS
+        avail_h = self._avail_h + _EPS
+        if cfg.illegal_cut or cfg.inferior_cut:
+            low_pack = self._pack(minus, rank_plus, self._low_dims)
+            thin_pack = self._pack(minus, rank_plus, self._thin_dims)
+            if cfg.illegal_cut and (
+                low_pack[3] > avail_h or thin_pack[2] > avail_w
+            ):
+                stats.pruned_illegal += 1
+                return float("inf"), -1, float("inf")
+            if cfg.inferior_cut and prune_wl < float("inf"):
+                stats.lower_bound_evaluations += 1
+                bound = self._lower_bound(low_pack, thin_pack)
+                if bound > prune_wl + _EPS:
+                    stats.pruned_inferior += 1
+                    return float("inf"), -1, bound
+        stats.sequence_pairs_explored += 1
+        sweep = self._sweep
+        evaluator = self.evaluator
+        # Chunk the scoring so one hpwl_batch call's live scratch stays
+        # inside the byte budget (see batch_chunk_rows).
+        step = evaluator.batch_chunk_rows()
+        best_wl, best_combo = float("inf"), -1
+        for chunk in range(sweep.chunks):
+            if chunk and budget.expired:
+                stats.timed_out = True
+                break
+            xs, ys, w, h = sweep.pack_all(minus, rank_plus, chunk)
+            legal = np.flatnonzero(~((w > avail_w) | (h > avail_h)))
+            stats.floorplans_rejected_outline += sweep.rows - legal.size
+            xs_t, ys_t = xs.T, ys.T  # (rows, n) candidate-major views
+            for lo in range(0, legal.size, step):
+                sel = legal[lo : lo + step]
+                # Centre on the interposer (Fig. 3 line 5).
+                off_x = self._center.x - w[sel] / 2.0 + self._half_cd
+                off_y = self._center.y - h[sel] / 2.0 + self._half_cd
+                wl = evaluator.hpwl_batch(
+                    xs_t[sel] + off_x[:, None],
+                    ys_t[sel] + off_y[:, None],
+                    sweep.codes[sel],
+                )
+                stats.floorplans_evaluated += sel.size
+                j = int(np.argmin(wl))
+                if wl[j] < best_wl:
+                    # Strict < keeps the earliest call on ties; argmin
+                    # keeps the earliest row within one — together the
+                    # lowest combo_index.
+                    best_wl = float(wl[j])
+                    best_combo = chunk * sweep.rows + int(sel[j])
+                if budget.expired:
+                    stats.timed_out = True
+                    return best_wl, best_combo, float("inf")
+        return best_wl, best_combo, float("inf")
+
     def _scan_block(
         self,
         minus: np.ndarray,
@@ -703,10 +528,10 @@ class EnumerativeFloorplanner:
         lowest wirelength, its first row (``-1`` when no row is legal),
         and the tightest Eq. 2 bound among rows the inferior cut pruned.
         Rows go
-        through the scalar loop's steps as masks: illegal cut from the
-        F_low / F_thin block packs, inferior cut per surviving row against
-        ``prune_wl``, outline check, then ``hpwl_batch`` over the legal
-        rows.  Packing and scoring are bit-identical to
+        through the scalar reference's steps as masks: illegal cut from
+        the F_low / F_thin block packs, inferior cut per surviving row
+        against ``prune_wl``, outline check, then ``hpwl_batch`` over the
+        legal rows.  Packing and scoring are bit-identical to
         :func:`pack_indices` + ``hpwl`` per row.
         """
         cfg = self.config
@@ -751,8 +576,7 @@ class EnumerativeFloorplanner:
         chunk = max(1, min(self.evaluator.batch_chunk_rows(), budget_rows))
         for lo in range(0, legal.size, chunk):
             sel = legal[lo : lo + chunk]
-            # Centre on the interposer (Fig. 3 line 5), as the scalar
-            # loop does per candidate.
+            # Centre on the interposer (Fig. 3 line 5).
             off_x = self._center.x - w[sel] / 2.0 + self._half_cd
             off_y = self._center.y - h[sel] / 2.0 + self._half_cd
             die_x = die_major(minus[sel], xs[:, sel]) + off_x[:, None]

@@ -32,16 +32,11 @@ def run_efa_mix(
     time_budget_s: Optional[float] = None,
     die_threshold: int = DEFAULT_DIE_THRESHOLD,
     workers: int = 1,
-    batch_eval: "bool | str" = True,
 ) -> FloorplanResult:
     """EFA_c3 for small die counts, EFA_dop otherwise.
 
     ``workers > 1`` runs the EFA_c3 arm on the sharded process pool
-    (identical result, shorter wall-clock on multi-core hosts);
-    ``batch_eval=False`` forces the scalar per-combination inner loop
-    (same winner, mainly for benchmarking and cross-checks) and
-    ``batch_eval="auto"`` picks per design (see
-    :func:`repro.floorplan.resolve_batch_eval`).
+    (identical result, shorter wall-clock on multi-core hosts).
     """
     logger.info(
         "EFA_mix: %d dies -> %s%s",
@@ -56,7 +51,6 @@ def run_efa_mix(
             illegal_cut=True,
             inferior_cut=True,
             time_budget_s=time_budget_s,
-            batch_eval=batch_eval,
         )
         if workers > 1:
             # Imported here: repro.parallel depends on repro.floorplan, so

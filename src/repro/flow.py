@@ -43,9 +43,9 @@ class FlowConfig:
     # 1 = serial; >1 shards EFA_mix's enumeration arm across a process
     # pool with a guaranteed-identical result.
     floorplan_workers: int = 1
-    # Batched orientation-sweep evaluation for the EFA arm: True, False,
-    # or "auto" (pick per design; bit-identical winner either way — see
-    # repro.floorplan.resolve_batch_eval).
+    # Accepted and ignored: EFA has one evaluation path.  Kept so older
+    # clients and stored job configs that send it (True, False or
+    # "auto") still parse; flow_config_from_dict validates the value.
     floorplan_batch_eval: "bool | str" = True
     # Race EFA_c3 / EFA_dop / SA on the pool instead of running EFA_mix;
     # the best legal floorplan wins.  Overrides floorplan_workers.
@@ -62,8 +62,7 @@ FLOW_CONFIG_SCHEMA_VERSION = 1
 
 # Fields that change *how fast* the flow runs but provably not *what* it
 # returns: worker count (the sharded search is bit-identical to serial
-# for any pool size) and the batched-vs-scalar evaluation path (same
-# winner by construction).  The service's cache key drops them so that
+# for any pool size) and the ignored legacy evaluation-path switch.  The service's cache key drops them so that
 # e.g. a 4-worker resubmission of a design solved serially is a hit.
 _RESULT_INVARIANT_FIELDS = ("floorplan_workers", "floorplan_batch_eval")
 
@@ -135,13 +134,19 @@ def flow_config_from_dict(data: Dict[str, Any]) -> FlowConfig:
         raise ValueError(
             f"unknown assigner-config keys: {sorted(unknown_asg)}"
         )
+    batch_eval = data.get("floorplan_batch_eval", True)
+    if not (isinstance(batch_eval, bool) or batch_eval == "auto"):
+        raise ValueError(
+            "floorplan_batch_eval must be true, false or 'auto', "
+            f"got {batch_eval!r}"
+        )
     budget = data.get("floorplan_budget_s")
     return FlowConfig(
         floorplan_budget_s=None if budget is None else float(budget),
         assigner=MCMFAssignerConfig(**asg),
         post_optimize=bool(data.get("post_optimize", False)),
         floorplan_workers=int(data.get("floorplan_workers", 1)),
-        floorplan_batch_eval=data.get("floorplan_batch_eval", True),
+        floorplan_batch_eval=batch_eval,
         portfolio=bool(data.get("portfolio", False)),
         seed=int(data.get("seed", 0)),
     )
@@ -248,7 +253,6 @@ def run_flow(
                     design,
                     time_budget_s=cfg.floorplan_budget_s,
                     workers=cfg.floorplan_workers,
-                    batch_eval=cfg.floorplan_batch_eval,
                 )
             if not fp_result.found:
                 logger.error(

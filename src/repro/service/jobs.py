@@ -212,7 +212,6 @@ def _mix_floorplanner(cfg: FlowConfig, checkpoint: CheckpointStore):
             illegal_cut=True,
             inferior_cut=True,
             time_budget_s=cfg.floorplan_budget_s,
-            batch_eval=cfg.floorplan_batch_eval,
         )
         result = run_parallel_efa(
             design,

@@ -7,9 +7,10 @@ empty-segment regression it exposed:
   ``hpwl``;
 * ``OrientationSweep.pack_all`` — bit-identical to the scalar
   ``pack_indices`` per orientation combination, with the combination
-  axis in ``itertools.product`` order;
-* the batched EFA inner loop — same winner (est_wl, candidate and
-  candidate key) and same counters as the serial combo loop;
+  axis in ``itertools.product`` order across chunks;
+* the EFA inner loop — same winner (est_wl, candidate and candidate
+  key) and same counters as the scalar reference in
+  ``tests/efa_reference.py``, with one-chunk and multi-chunk sweeps;
 * escape-only signals (zero die-borne terminals): before the fix a
   mid-list empty segment silently borrowed the next signal's first
   terminal and a trailing one raised IndexError inside numpy.
@@ -23,10 +24,19 @@ import pytest
 from repro.benchgen import load_tiny
 from repro.floorplan import (
     EFAConfig,
+    EnumerativeFloorplanner,
     FastHpwlEvaluator,
+    orientation_from_code,
     run_efa,
 )
-from repro.floorplan.batch import MAX_SWEEP_DIES, OrientationSweep, pack_indices
+from repro.floorplan import batch
+from repro.floorplan.batch import OrientationSweep, pack_indices
+from repro.flow import (
+    FlowConfig,
+    flow_config_from_dict,
+    flow_config_to_dict,
+    run_flow,
+)
 from repro.geometry import Point, Rect
 from repro.model import (
     Design,
@@ -41,6 +51,7 @@ from repro.model import (
     Signal,
     TSV,
 )
+from tests.efa_reference import assert_matches_reference, scalar_efa
 
 
 def make_escape_design(escape_position: str) -> Design:
@@ -258,13 +269,152 @@ class TestOrientationSweep:
             assert w_b[k] == width
             assert h_b[k] == height
 
-    def test_rejects_oversized_die_count(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="sweep supports"):
-            OrientationSweep(self._dims_by_code(rng, MAX_SWEEP_DIES + 1))
+    @pytest.mark.parametrize("n,suffix", [(3, 2), (5, 2), (9, 8), (11, 8)])
+    def test_chunks_bit_identical_to_pack_indices(self, monkeypatch, n, suffix):
+        """Chunk rows sit at global product-order index
+        ``chunk * rows + row`` and pack exactly like ``pack_indices``."""
+        monkeypatch.setattr(batch, "SWEEP_SUFFIX", suffix)
+        rng = np.random.default_rng(n)
+        dims_by_code = self._dims_by_code(rng, n)
+        sweep = OrientationSweep(dims_by_code)
+        assert sweep.rows == 4 ** min(n, suffix)
+        assert sweep.chunks * sweep.rows == 4 ** n
+        minus = [int(i) for i in rng.permutation(n)]
+        rank_plus = [int(i) for i in rng.permutation(n)]
+        chunks = sorted(
+            {0, sweep.chunks - 1}
+            | {int(c) for c in rng.integers(0, sweep.chunks, size=3)}
+        )
+        for chunk in chunks:
+            xs_b, ys_b, w_b, h_b = sweep.pack_all(minus, rank_plus, chunk)
+            for row in {0, sweep.rows - 1} | {
+                int(r) for r in rng.integers(0, sweep.rows, size=20)
+            }:
+                combo = chunk * sweep.rows + row
+                codes = sweep.combo_codes(combo)
+                assert tuple(sweep.codes[row]) == codes
+                # Global index = position in itertools.product order.
+                assert combo == int("".join(map(str, codes)), 4)
+                dims = [dims_by_code[i][codes[i]] for i in range(n)]
+                xs, ys, width, height = pack_indices(minus, rank_plus, dims)
+                assert xs_b[:, row].tolist() == xs  # exact float equality
+                assert ys_b[:, row].tolist() == ys
+                assert (w_b[row], h_b[row]) == (width, height)
+
+    def test_large_sweep_holds_one_chunk(self):
+        """An 11-die sweep never holds more than 4^8 rows."""
+        rng = np.random.default_rng(11)
+        sweep = OrientationSweep(self._dims_by_code(rng, 11))
+        assert (sweep.rows, sweep.chunks) == (4 ** 8, 4 ** 3)
+        arrays = [v for v in vars(sweep).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= 11 * 4 ** 8
+
+
+@pytest.fixture(scope="module")
+def one_die_design():
+    """One die whose two signals escape to the package."""
+    die = Die(
+        id="d1",
+        width=2.0,
+        height=1.0,
+        buffers=[
+            IOBuffer("b1", "d1", Point(0.25, 0.25), "s1"),
+            IOBuffer("b2", "d1", Point(1.75, 0.75), "s2"),
+        ],
+        bumps=[
+            MicroBump("m1", "d1", Point(1.0, 0.5)),
+            MicroBump("m2", "d1", Point(1.5, 0.5)),
+        ],
+    )
+    return Design(
+        name="one-die",
+        dies=[die],
+        interposer=Interposer(
+            width=4.0,
+            height=4.0,
+            tsvs=[TSV("t1", Point(1.0, 2.0)), TSV("t2", Point(3.0, 2.0))],
+        ),
+        package=Package(
+            frame=Rect(-1.0, -1.0, 6.0, 6.0),
+            escape_points=[
+                EscapePoint("e1", Point(5.0, 0.5), "s1"),
+                EscapePoint("e2", Point(-0.5, 3.0), "s2"),
+            ],
+        ),
+        signals=[
+            Signal("s1", ("b1",), escape_id="e1"),
+            Signal("s2", ("b2",), escape_id="e2"),
+        ],
+    )
+
+
+def tiny_design(n, one_die_design):
+    if n == 1:
+        return one_die_design
+    return load_tiny(die_count=n, signal_count=8)
+
+
+# Windows that keep the scalar reference quick at n = 4, 5 (it scores
+# 4^n candidates per sequence pair one at a time).
+REFERENCE_WINDOWS = {
+    1: {},
+    2: {},
+    3: {},
+    4: {"plus_range": (5, 9)},
+    5: {"plus_range": (30, 31), "minus_range": (10, 110)},
+}
+
+VARIANTS = {
+    "ori": {},
+    "c1": {"illegal_cut": True},
+    "c2": {"inferior_cut": True},
+    "c3": {"illegal_cut": True, "inferior_cut": True},
+}
+
+
+def reference_configs(design, n):
+    """``(name, config)`` for ori/c1/c2/c3 and a fixed-orientation run;
+    the fixed vector is the ori winner's, so the window holds a legal
+    candidate."""
+    window = REFERENCE_WINDOWS[n]
+    configs = [
+        (name, EFAConfig(**cuts, **window)) for name, cuts in VARIANTS.items()
+    ]
+    ori = run_efa(design, configs[0][1])
+    fixed = {
+        die.id: orientation_from_code(code)
+        for die, code in zip(design.dies, ori.candidate[2])
+    }
+    return configs + [
+        ("fixed", EFAConfig(fixed_orientations=fixed, **window))
+    ]
 
 
 class TestBatchedEFAIdentity:
+    """Every EFA variant returns the scalar reference's winner and
+    counters, with the sweep in one chunk and in many."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_scalar_reference(self, n, one_die_design):
+        design = tiny_design(n, one_die_design)
+        for name, config in reference_configs(design, n):
+            result = run_efa(design, config)
+            assert result.found, name
+            assert_matches_reference(result, scalar_efa(design, config))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_multi_chunk_sweep_matches_reference(self, monkeypatch, n):
+        """A 2-die chunk suffix splits every sweep into 4^(n-2) chunks;
+        the winner, key and counters must not move."""
+        monkeypatch.setattr(batch, "SWEEP_SUFFIX", 2)
+        design = load_tiny(die_count=n, signal_count=8)
+        for name, config in reference_configs(design, n):
+            planner = EnumerativeFloorplanner(design, config)
+            result = planner.run()
+            if config.fixed_orientations is None:
+                assert planner._sweep.chunks == 4 ** (n - 2), name
+            assert_matches_reference(result, scalar_efa(design, config))
+
     @pytest.mark.parametrize(
         "cfg_kwargs",
         [
@@ -274,23 +424,28 @@ class TestBatchedEFAIdentity:
     )
     def test_same_winner_and_counters(self, cfg_kwargs):
         design = load_tiny(die_count=3, signal_count=8)
-        serial = run_efa(design, EFAConfig(batch_eval=False, **cfg_kwargs))
-        batch = run_efa(design, EFAConfig(batch_eval=True, **cfg_kwargs))
-        assert batch.est_wl == serial.est_wl  # exact
-        assert batch.candidate == serial.candidate
-        assert batch.candidate_key == serial.candidate_key
-        for field in (
-            "sequence_pairs_total",
-            "sequence_pairs_explored",
-            "pruned_illegal",
-            "pruned_inferior",
-            "floorplans_evaluated",
-            "floorplans_rejected_outline",
-        ):
-            assert getattr(batch.stats, field) == getattr(
-                serial.stats, field
-            ), field
-        assert batch.floorplan.placements == serial.floorplan.placements
+        config = EFAConfig(**cfg_kwargs)
+        result = run_efa(design, config)
+        assert_matches_reference(result, scalar_efa(design, config))
+        # The realized floorplan is the winning candidate, re-packed.
+        planner = EnumerativeFloorplanner(design, config)
+        assert result.floorplan.placements == (
+            planner.realize_candidate(*result.candidate).placements
+        )
+
+
+class TestLargeDieCounts:
+    def test_budgeted_eleven_die_run_completes(self):
+        """At n = 11 one sequence pair's sweep spans 64 chunks; a budget
+        stops it between chunks instead of after 4^11 candidates."""
+        design = load_tiny(die_count=11, signal_count=30)
+        result = run_efa(design, EFAConfig(time_budget_s=0.5))
+        stats = result.stats
+        assert stats.timed_out
+        assert stats.sequence_pairs_explored >= 1
+        scanned = stats.floorplans_evaluated + stats.floorplans_rejected_outline
+        assert 0 < scanned <= stats.sequence_pairs_explored * 4 ** 11
+        assert stats.runtime_s < 10.0
 
 
 class TestEnumerationWindows:
@@ -375,10 +530,10 @@ class TestChunkBudget:
         the budget to one row per chunk must not move the winner."""
         design = load_tiny(die_count=3, signal_count=8)
         monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
-        want = run_efa(design, EFAConfig(batch_eval=True))
+        want = run_efa(design, EFAConfig())
         row = FastHpwlEvaluator(design).batch_row_bytes()
         monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row))
-        got = run_efa(design, EFAConfig(batch_eval=True))
+        got = run_efa(design, EFAConfig())
         assert got.est_wl == want.est_wl
         assert got.candidate_key == want.candidate_key
         assert (
@@ -388,74 +543,37 @@ class TestChunkBudget:
 
 
 class TestAutoBatchEval:
-    """``batch_eval="auto"``: per-design path selection, same winner."""
-
-    @pytest.mark.parametrize(
-        "dies,terminals,expected",
-        [
-            # Few dies but terminal-heavy: per-candidate numpy batches
-            # stay small while each scalar pack is cheap -> serial wins.
-            (4, 713, False),
-            (4, 512, False),  # threshold boundary is inclusive
-            # Terminal-light: batching amortizes the python loop.
-            (4, 376, True),
-            (4, 511, True),
-            # Many dies: the combination axis explodes, batch always.
-            (6, 800, True),
-            (5, 10_000, True),
-        ],
-    )
-    def test_auto_resolution(self, dies, terminals, expected):
-        from repro.floorplan import resolve_batch_eval
-
-        assert resolve_batch_eval("auto", dies, terminals) is expected
+    """The legacy ``floorplan_batch_eval`` flow-config key: EFA has one
+    evaluation path, so the key is validated at the config boundary and
+    otherwise ignored."""
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bools_pass_through(self, value):
-        from repro.floorplan import resolve_batch_eval
-
-        assert resolve_batch_eval(value, 3, 100) is value
+        data = flow_config_to_dict(FlowConfig())
+        data["floorplan_batch_eval"] = value
+        assert flow_config_from_dict(data).floorplan_batch_eval is value
 
     @pytest.mark.parametrize("bad", ["yes", 1, None, "AUTO"])
     def test_invalid_values_rejected(self, bad):
-        from repro.floorplan import resolve_batch_eval
-
-        with pytest.raises(ValueError):
-            resolve_batch_eval(bad, 3, 100)
-
-    def test_memory_aware_auto(self, monkeypatch):
-        from repro.floorplan import batch_chunk_bytes, resolve_batch_eval
-        from repro.floorplan.efa import AUTO_SERIAL_MIN_CHUNK_ROWS
-
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
-        budget = batch_chunk_bytes()
-        # Plenty of rows fit the budget: batch wins even on a small,
-        # terminal-heavy design the legacy rule would call serial.
-        narrow = budget // (4 * AUTO_SERIAL_MIN_CHUNK_ROWS)
-        assert resolve_batch_eval("auto", 4, 10_000, row_bytes=narrow)
-        # One row eats the whole budget: memory-bound, serial — but only
-        # while the sweep is small enough for the scalar loop to matter.
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=budget) is False
-        assert resolve_batch_eval("auto", 6, 100, row_bytes=budget) is True
-
-    def test_memory_aware_auto_follows_budget_env(self, monkeypatch):
-        from repro.floorplan import resolve_batch_eval
-
-        # The same row width flips serial<->batch with the env budget.
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(1 << 10))
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=512) is False
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(1 << 20))
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=512) is True
+        data = flow_config_to_dict(FlowConfig())
+        data["floorplan_batch_eval"] = bad
+        with pytest.raises(ValueError, match="floorplan_batch_eval"):
+            flow_config_from_dict(data)
 
     def test_auto_matches_explicit_paths_exactly(self):
         design = load_tiny(die_count=3, signal_count=8)
-        explicit = run_efa(design, EFAConfig(batch_eval=True))
-        auto = run_efa(design, EFAConfig(batch_eval="auto"))
-        assert auto.est_wl == explicit.est_wl
-        assert auto.candidate == explicit.candidate
-        assert auto.candidate_key == explicit.candidate_key
-        assert auto.floorplan.placements == explicit.floorplan.placements
-        assert (
-            auto.stats.floorplans_evaluated
-            == explicit.stats.floorplans_evaluated
-        )
+        explicit = run_flow(design, FlowConfig(floorplan_batch_eval=True))
+        for value in ("auto", False):
+            legacy = run_flow(design, FlowConfig(floorplan_batch_eval=value))
+            assert (
+                legacy.floorplan_result.est_wl
+                == explicit.floorplan_result.est_wl
+            )
+            assert (
+                legacy.floorplan_result.candidate_key
+                == explicit.floorplan_result.candidate_key
+            )
+            assert (
+                legacy.floorplan.placements == explicit.floorplan.placements
+            )
+            assert legacy.twl == explicit.twl

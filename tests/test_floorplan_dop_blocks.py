@@ -2,9 +2,9 @@
 
 The block kernel must reproduce :func:`pack_indices` bit for bit on every
 row, and a fixed-orientation :class:`EnumerativeFloorplanner` run must
-return what the per-pair scalar loop returned: the same ``est_wl``,
-candidate, ``candidate_key`` and search counters.  ``scalar_fixed_run`` is
-that loop, kept here as the reference.
+return what the per-pair scalar reference (``tests/efa_reference.py``)
+returns: the same ``est_wl``, candidate, ``candidate_key`` and search
+counters.
 """
 
 import logging
@@ -24,63 +24,14 @@ from repro.floorplan.batch import (
     pack_block,
     pack_indices,
 )
-from repro.floorplan.estimator import orientation_code
 from repro.floorplan.greedy_packing import predetermine_orientations
 from repro.geometry import Orientation
 from repro.parallel import ParallelEFAConfig, run_parallel_efa
 from repro.seqpair import iter_permutations_range
-
-_EPS = 1e-9
-
+from tests.efa_reference import assert_matches_reference, scalar_efa
 
 def suite_design(case, seed):
     return generate_design(replace(suite_config(case), seed=seed))
-
-
-def scalar_fixed_run(design, orientations, plus_range=None, minus_range=None):
-    """The per-pair scalar loop of a fixed-orientation run, no cuts.
-
-    Returns ``(est_wl, candidate, candidate_key, counters)`` with the
-    counters ``(explored, evaluated, rejected_outline)``.
-    """
-    planner = EnumerativeFloorplanner(design)
-    n = len(design.dies)
-    n_fact = math.factorial(n)
-    plo, phi = plus_range or (0, n_fact)
-    mlo, mhi = minus_range or (0, n_fact)
-    codes = tuple(orientation_code(orientations[d.id]) for d in design.dies)
-    dims = [planner._dims_by_code[i][c] for i, c in enumerate(codes)]
-    avail_w = planner._avail_w + _EPS
-    avail_h = planner._avail_h + _EPS
-    cx, cy, half = planner._center.x, planner._center.y, planner._half_cd
-    codes_arr = np.asarray(codes, dtype=np.int64)
-    best_wl, best, best_key = float("inf"), None, None
-    explored = evaluated = rejected = 0
-    rank_plus = [0] * n
-    for plus_rank, plus in zip(
-        range(plo, phi), iter_permutations_range(n, plo, phi)
-    ):
-        for r, i in enumerate(plus):
-            rank_plus[i] = r
-        for minus_rank, minus in zip(
-            range(mlo, mhi), iter_permutations_range(n, mlo, mhi)
-        ):
-            explored += 1
-            xs, ys, w, h = pack_indices(minus, rank_plus, dims)
-            if w > avail_w or h > avail_h:
-                rejected += 1
-                continue
-            off_x = cx - w / 2.0 + half
-            off_y = cy - h / 2.0 + half
-            die_x = np.asarray([x + off_x for x in xs])
-            die_y = np.asarray([y + off_y for y in ys])
-            wl = planner.evaluator.hpwl(die_x, die_y, codes_arr)
-            evaluated += 1
-            if wl < best_wl:
-                best_wl = wl
-                best = (plus, minus, codes)
-                best_key = (plus_rank, minus_rank, 0)
-    return best_wl, best, best_key, (explored, evaluated, rejected)
 
 
 def block_run(design, orientations, **config):
@@ -150,18 +101,15 @@ class TestBlockKernel:
         assert got == list(iter_permutations_range(n, lo, hi))
 
 
-def assert_matches_scalar(result, reference):
-    est_wl, candidate, key, (explored, evaluated, rejected) = reference
-    assert result.est_wl == est_wl
-    assert result.candidate == candidate
-    assert result.candidate_key == key
-    stats = result.stats
-    assert stats.sequence_pairs_explored == explored
-    assert stats.floorplans_evaluated == evaluated
-    assert stats.floorplans_rejected_outline == rejected
-    assert (stats.pruned_illegal, stats.pruned_inferior) == (0, 0)
-    assert stats.lower_bound_evaluations == 0
-    assert not stats.timed_out
+def assert_matches_scalar(design, vec, **window):
+    """A fixed-orientation block run equals the scalar reference."""
+    result = block_run(design, vec, **window)
+    reference = scalar_efa(
+        design, EFAConfig(fixed_orientations=vec, **window)
+    )
+    assert_matches_reference(result, reference)
+    assert not result.stats.timed_out
+    return result
 
 
 class TestFixedOrientationRuns:
@@ -184,10 +132,7 @@ class TestFixedOrientationRuns:
             predetermine_orientations(design).orientations,
             all_r0(design),
         ):
-            result = block_run(design, vec, **window)
-            assert_matches_scalar(
-                result, scalar_fixed_run(design, vec, **window)
-            )
+            result = assert_matches_scalar(design, vec, **window)
             assert result.stats.sequence_pairs_total == (
                 result.stats.sequence_pairs_explored
             )
@@ -195,18 +140,13 @@ class TestFixedOrientationRuns:
     def test_small_design_full_space(self):
         design = load_tiny(die_count=3, signal_count=8)
         vec = predetermine_orientations(design).orientations
-        assert_matches_scalar(
-            block_run(design, vec), scalar_fixed_run(design, vec)
-        )
+        assert_matches_scalar(design, vec)
 
     def test_minus_window_cutting_blocks(self):
         design = suite_design("t8m", 11)
         vec = all_r0(design)
         window = {"plus_range": (1, 2), "minus_range": (5000, 10500)}
-        assert_matches_scalar(
-            block_run(design, vec, **window),
-            scalar_fixed_run(design, vec, **window),
-        )
+        assert_matches_scalar(design, vec, **window)
 
     def test_empty_minus_window_finds_nothing(self):
         design = load_tiny(die_count=3, signal_count=8)
@@ -335,3 +275,21 @@ class TestMissLogging:
             r for r in repro_caplog.records if r.levelno >= logging.ERROR
         ]
         assert [r.name for r in errors] == ["repro.flow"]
+
+
+class TestProgressLogging:
+    def test_fixed_orientation_runs_log_debug_progress(
+        self, repro_caplog, monkeypatch
+    ):
+        from repro.floorplan import efa
+
+        monkeypatch.setattr(efa, "_PROGRESS_EVERY", 1)
+        repro_caplog.set_level(logging.DEBUG, logger="repro")
+        design = load_tiny(die_count=3, signal_count=8)
+        block_run(design, all_r0(design))
+        progress = [
+            r.getMessage()
+            for r in repro_caplog.records
+            if r.name == "repro.floorplan.efa" and r.levelno == logging.DEBUG
+        ]
+        assert progress and "candidates" in progress[0], progress

@@ -29,6 +29,7 @@ from repro.parallel import (
     run_portfolio,
 )
 
+from .efa_reference import assert_matches_reference, scalar_efa
 from .helpers import build_design
 
 
@@ -435,7 +436,7 @@ class TestParallelCLI:
 
 
 class TestWindowedParallel:
-    """Enumeration windows compose with sharding and batch/serial eval."""
+    """Enumeration windows compose with sharding and the scalar reference."""
 
     def test_windowed_pool_matches_windowed_serial(self, design3):
         cfg = EFAConfig(
@@ -454,13 +455,9 @@ class TestWindowedParallel:
         assert pooled.stats.sequence_pairs_total == 4 * 4
 
     def test_windowed_batch_matches_windowed_scalar(self, design3):
-        kwargs = dict(plus_range=(0, 3), minus_range=(2, 6))
-        a = run_efa(design3, EFAConfig(batch_eval=True, **kwargs))
-        b = run_efa(design3, EFAConfig(batch_eval=False, **kwargs))
-        assert a.est_wl == b.est_wl
-        assert a.candidate_key == b.candidate_key
-        assert (
-            a.stats.floorplans_evaluated == b.stats.floorplans_evaluated
+        config = EFAConfig(plus_range=(0, 3), minus_range=(2, 6))
+        assert_matches_reference(
+            run_efa(design3, config), scalar_efa(design3, config)
         )
 
     def test_empty_window_returns_not_found(self, design3):

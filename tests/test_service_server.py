@@ -74,6 +74,17 @@ class TestEndpoints:
             client._request("/jobs", method="POST", body={})
         assert err.value.status == 400
 
+    def test_bad_legacy_batch_eval_is_400(self, client, design):
+        # The flow ignores floorplan_batch_eval, so its value is checked
+        # at submit time rather than failing inside the worker.
+        config = flow_config_to_dict(FlowConfig())
+        config["floorplan_batch_eval"] = "yes"
+        with pytest.raises(ServiceError) as err:
+            client.submit(design_to_dict(design), config=config)
+        assert err.value.status == 400
+        assert "floorplan_batch_eval" in str(err.value)
+        assert client.list_jobs() == []
+
     def test_result_before_done_409(self, client, design):
         view = client.submit(design_to_dict(design))
         try:
