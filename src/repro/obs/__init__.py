@@ -6,8 +6,10 @@ The pieces compose into one instrumentation story for the flow:
   :func:`configure_logging` entry point (human or JSON lines);
 * :mod:`repro.obs.trace` — nestable :func:`span` timing contexts producing
   a per-run trace tree with call counts and monotonic start offsets;
-* :mod:`repro.obs.metrics` — process-local counters/gauges/histograms the
-  solvers publish their branch-cut / augmenting-path / expansion counts to;
+* :mod:`repro.obs.metrics` — counters/gauges/histograms keyed by name
+  and label set: the process-local registry the solvers publish their
+  branch-cut / augmenting-path / expansion counts to, and the job
+  service's own labelled registry;
 * :mod:`repro.obs.progress` — throttled :class:`Progress` heartbeats the
   long-running searches feed, plus run-scoped :func:`telemetry` state
   (incumbent trajectory, per-worker shard balance);
@@ -77,8 +79,6 @@ from .progress import (
 from .metrics import DEFAULT_BUCKET_LE
 from .openmetrics import (
     ExpositionBuilder,
-    add_registry_export,
-    histogram_samples,
     parse_exposition,
     render_registry,
     render_report,
@@ -141,7 +141,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "add_event_listener",
-    "add_registry_export",
     "analyze_report",
     "anytime_metrics",
     "attach_verification",
@@ -157,7 +156,6 @@ __all__ = [
     "get_logger",
     "graft_spans",
     "histogram",
-    "histogram_samples",
     "hotspot_table",
     "json_default",
     "layout_section",

@@ -1,6 +1,7 @@
 """Lightweight process-local metrics: counters, gauges, histograms.
 
-A :class:`MetricsRegistry` maps dotted metric names to instruments:
+A :class:`MetricsRegistry` maps a dotted metric name plus an optional
+label set to an instrument:
 
 * :class:`Counter` — a monotonically increasing count (``inc``);
 * :class:`Gauge` — a last-write-wins value (``set``);
@@ -9,13 +10,16 @@ A :class:`MetricsRegistry` maps dotted metric names to instruments:
   OpenMetrics exposition renders as cumulative ``le`` series
   (``observe``).
 
-The registry is deliberately minimal — no labels, no exposition format,
-no background threads — because its one job is to let solver internals
-publish cheap aggregate counts (sequence pairs pruned, augmenting paths
-found, maze nodes expanded) that the run report then snapshots.  Hot loops
-should accumulate into a local variable and ``inc(total)`` once; the
-instruments are plain Python and not meant for per-iteration calls in
-C-speed loops.
+Instruments are keyed by ``(name, sorted label items)``; every label set
+of one family (one name) shares one instrument kind.  The solvers
+publish label-free cells — cheap aggregate counts (sequence pairs
+pruned, augmenting paths found, maze nodes expanded) that the run report
+snapshots — while the job service keeps its labelled request, job-state
+and per-job resource cells in a registry of its own.  Rendering lives in
+:mod:`repro.obs.openmetrics`; the registry has no exposition format and
+no background threads.  Hot loops should accumulate into a local
+variable and ``inc(total)`` once; the instruments are plain Python and
+not meant for per-iteration calls in C-speed loops.
 
 Module-level helpers (:func:`counter`, :func:`gauge`, :func:`histogram`,
 :func:`snapshot`, :func:`reset_metrics`) operate on one process-local
@@ -40,9 +44,14 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from typing import (
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 Number = Union[int, float]
+Labels = Mapping[str, Any]
+LabelKey = Tuple[Tuple[str, str], ...]
 
 # Fixed log-spaced histogram bucket upper bounds (the Prometheus ``le``
 # values).  One shared ladder spanning 1 ms .. 1000 keeps every fold
@@ -53,6 +62,11 @@ DEFAULT_BUCKET_LE: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
 )
+
+
+def label_key(labels: Optional[Labels]) -> LabelKey:
+    """The canonical, hashable form of a label set: sorted string pairs."""
+    return tuple(sorted((str(k), str(v)) for k, v in (labels or {}).items()))
 
 
 class Counter:
@@ -187,7 +201,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name -> instrument mapping with typed get-or-create accessors.
+    """``(name, labels)`` -> instrument mapping with typed get-or-create
+    accessors.
 
     Registry-level mutations are thread-safe (see the module docstring);
     instrument updates are not synchronized and belong to one thread at a
@@ -196,98 +211,127 @@ class MetricsRegistry:
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._metrics: Dict[str, Any] = {}
+        self._metrics: Dict[Tuple[str, LabelKey], Any] = {}
+        self._kinds: Dict[str, type] = {}
 
-    def _get(self, name: str, cls):
+    def _get(self, name: str, labels: Optional[Labels], cls):
+        key = (name, label_key(labels))
         with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name)
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
+            kind = self._kinds.setdefault(name, cls)
+            if kind is not cls:
                 raise TypeError(
                     f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}, not {cls.__name__}"
+                    f"{kind.__name__}, not {cls.__name__}"
                 )
+            metric = self._metrics.get(key)
+            if metric is None:
+                metric = self._metrics[key] = cls(name)
             return metric
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        return self._get(name, Counter)
+    def counter(self, name: str, labels: Optional[Labels] = None) -> Counter:
+        """Get or create the counter ``name`` (at ``labels``)."""
+        return self._get(name, labels, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        return self._get(name, Gauge)
+    def gauge(self, name: str, labels: Optional[Labels] = None) -> Gauge:
+        """Get or create the gauge ``name`` (at ``labels``)."""
+        return self._get(name, labels, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        """Get or create the histogram ``name``."""
-        return self._get(name, Histogram)
+    def histogram(
+        self, name: str, labels: Optional[Labels] = None
+    ) -> Histogram:
+        """Get or create the histogram ``name`` (at ``labels``)."""
+        return self._get(name, labels, Histogram)
 
-    def discard(self, name: str) -> None:
-        """Drop instrument ``name`` if present.
+    def discard(self, name: str, labels: Optional[Labels] = None) -> None:
+        """Drop the instrument ``name`` at ``labels`` if present.
 
-        The live-service layer uses this to retire per-job labelled
-        cells once a job is terminal, so long-lived servers do not
-        accumulate unbounded gauge cardinality.
+        The job service uses this to retire per-job labelled cells once
+        a job is terminal, so long-lived servers do not accumulate
+        unbounded gauge cardinality.
         """
         with self._lock:
-            self._metrics.pop(name, None)
+            self._metrics.pop((name, label_key(labels)), None)
 
     def reset(self) -> None:
         """Forget every registered instrument."""
         with self._lock:
             self._metrics.clear()
+            self._kinds.clear()
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready ``{name: value}`` export, sorted by name."""
-        with self._lock:
-            return {
-                name: self._metrics[name].to_value()
-                for name in sorted(self._metrics)
-            }
+        """JSON-ready ``{name: value}`` export, sorted by name.
+
+        A labelled family's value is its ``series`` list (see
+        :meth:`export`).
+        """
+        return {
+            name: entry["series"] if "series" in entry else entry["value"]
+            for name, entry in self.export().items()
+        }
 
     # -- cross-process reduction --------------------------------------------
 
     def export(self) -> Dict[str, Dict[str, Any]]:
         """Typed, picklable export for cross-process merging.
 
-        Unlike :meth:`snapshot` (which flattens every instrument to its
-        value and loses the counter/gauge distinction), the export keeps
-        the instrument type so :meth:`merge_export` can reduce a worker
+        One entry per family, sorted by name: ``{"type", "value"}`` for a
+        family whose only cell is label-free, else ``{"type", "series":
+        [{"labels": {...}, "value": ...}, ...]}`` with the cells sorted by
+        label set.  Unlike :meth:`snapshot`, the export keeps the
+        instrument type so :meth:`merge_export` can reduce a worker
         registry into a parent registry without guessing.
         """
         with self._lock:
-            return {
-                name: {
-                    "type": type(metric).__name__.lower(),
-                    "value": metric.to_value(),
-                }
-                for name, metric in sorted(self._metrics.items())
-            }
+            cells = sorted(self._metrics.items())
+            out: Dict[str, Dict[str, Any]] = {}
+            for name, group in groupby(cells, key=lambda kv: kv[0][0]):
+                group = [(key, metric) for (_, key), metric in group]
+                entry = {"type": type(group[0][1]).__name__.lower()}
+                if len(group) == 1 and not group[0][0]:
+                    entry["value"] = group[0][1].to_value()
+                else:
+                    entry["series"] = [
+                        {"labels": dict(key), "value": metric.to_value()}
+                        for key, metric in group
+                    ]
+                out[name] = entry
+            return out
 
     def merge_export(self, exported: Dict[str, Dict[str, Any]]) -> None:
         """Reduce an :meth:`export` from another registry into this one.
 
-        Counters add, histograms fold their aggregates together, gauges
-        are last-write-wins (the merged value overwrites).  This is the
-        primitive the parallel executor uses to surface per-worker solver
-        counters in the parent's run report.
+        Cells fold by ``(name, labels)``: counters add, histograms fold
+        their aggregates together, gauges are last-write-wins (the merged
+        value overwrites).  This is the primitive the parallel executor
+        and the job service use to surface child-process solver counters
+        in the parent.
         """
         with self._lock:
             for name, entry in exported.items():
                 kind = entry.get("type")
-                value = entry.get("value")
-                if kind == "counter":
-                    self.counter(name).inc(value)
-                elif kind == "gauge":
-                    if value is not None:
-                        self.gauge(name).set(value)
-                elif kind == "histogram":
-                    self.histogram(name).merge_value(value or {})
-                else:
-                    raise ValueError(
-                        f"cannot merge metric {name!r}: unknown type {kind!r}"
-                    )
+                for labels, value in export_cells(entry):
+                    if kind == "counter":
+                        self.counter(name, labels).inc(value)
+                    elif kind == "gauge":
+                        if value is not None:
+                            self.gauge(name, labels).set(value)
+                    elif kind == "histogram":
+                        self.histogram(name, labels).merge_value(value or {})
+                    else:
+                        raise ValueError(
+                            f"cannot merge metric {name!r}: unknown type "
+                            f"{kind!r}"
+                        )
+
+
+def export_cells(
+    entry: Mapping[str, Any]
+) -> List[Tuple[Dict[str, str], Any]]:
+    """``(labels, value)`` per cell of one :meth:`MetricsRegistry.export`
+    family entry (label-free cells have empty labels)."""
+    if "series" in entry:
+        return [(cell["labels"], cell["value"]) for cell in entry["series"]]
+    return [({}, entry.get("value"))]
 
 
 _default = MetricsRegistry()

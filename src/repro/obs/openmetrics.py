@@ -4,8 +4,8 @@ Renders :class:`~repro.obs.metrics.MetricsRegistry` counters, gauges and
 histograms — plus the derived analytics gauges of
 :mod:`repro.obs.analytics` — in the OpenMetrics text format, so the run
 can be scraped by Prometheus or dumped once via ``repro-25d
-metrics-dump``.  The same functions are what the future job server will
-mount under ``/metrics``.
+metrics-dump``.  The job service's live ``GET /api/v1/metrics`` renders
+its registry through the same :func:`render_registry`.
 
 Mapping rules (documented because the dotted registry names are not
 legal Prometheus names as-is):
@@ -23,6 +23,9 @@ legal Prometheus names as-is):
   render the count/sum/min/max subset only;
 * every exposed family is preceded by its ``# TYPE`` (and ``# HELP``
   when provided) line, and the exposition ends with ``# EOF``;
+* a labelled registry family renders all its label sets under that one
+  header; the ``_min`` / ``_max`` extrema gauges accompany label-free
+  histogram cells only;
 * label values escape ``\\``, ``"`` and newlines per the spec;
 * ``None`` gauge values (never set) are skipped, not rendered as NaN.
 
@@ -53,8 +56,10 @@ _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
-# ``# HELP`` text for the well-known registry families; unknown names
-# are exposed with TYPE only (HELP is optional in the format).
+# ``# HELP`` text for the well-known registry families — the solvers'
+# search counters and the job service's families — and the only source
+# of HELP for registry exports; unknown names are exposed with TYPE only
+# (HELP is optional in the format).
 _HELP: Dict[str, str] = {
     "floorplan.efa.sequence_pairs_explored":
         "Sequence pairs fully explored by the EFA enumeration",
@@ -70,6 +75,28 @@ _HELP: Dict[str, str] = {
         "Eq. 2 interval lower-bound evaluations",
     "floorplan.efa.certified_lower_bound":
         "Certified sequence-pair-independent lower bound on est_wl",
+    "http.requests":
+        "HTTP requests handled, by route template and status",
+    "http.request_seconds": "HTTP request handling latency",
+    "job.cpu_percent":
+        "CPU utilization of the job child over the last sample interval",
+    "job.rss_bytes": "Resident set size of the job child",
+    "service.cache.entries": "Result-cache entries currently on disk",
+    "service.cache.evictions":
+        "Result-cache entries evicted (LRU or poison)",
+    "service.cache.hits": "Result-cache lookups answered from disk",
+    "service.cache.misses": "Result-cache lookups that ran the flow",
+    "service.job.queue_wait_seconds":
+        "Seconds jobs spent queued before a runner took them",
+    "service.job.run_seconds":
+        "Wall-clock seconds from first start to terminal",
+    "service.jobs.resumed":
+        "Jobs requeued to resume from checkpoint (crash or restart)",
+    "service.jobs.state": "Jobs currently in each lifecycle state",
+    "service.jobs.submitted": "Job submissions accepted (past design lint)",
+    "service.queue.depth": "Submitted jobs waiting for a free runner",
+    "service.uptime_seconds":
+        "Seconds since the service metrics scope started",
 }
 
 
@@ -267,32 +294,29 @@ def add_registry_export(
 
     This is the single renderer both the CLI's ``metrics-dump`` and the
     service's live ``/api/v1/metrics`` endpoint go through, so family
-    names and sanitization can never drift between the two.
+    names and sanitization can never drift between the two.  Families
+    render in the export's order, each under one ``# HELP`` (from
+    :data:`_HELP`) / ``# TYPE`` header covering all its label sets.
     """
     for raw_name, entry in exported.items():
         kind = entry.get("type")
-        value = entry.get("value")
-        help_text = _HELP.get(raw_name)
-        if kind == "counter":
-            builder.add(raw_name, "counter", value, help_text=help_text)
-        elif kind == "gauge":
-            builder.add(raw_name, "gauge", value, help_text=help_text)
-        elif kind == "histogram":
-            value = value or {}
-            name = sanitize_name(raw_name)
-            builder.family(name, "histogram", help_text)
-            histogram_samples(builder, name, value)
-            if value.get("count"):
-                builder.add(f"{raw_name}.min", "gauge", value.get("min"))
-                builder.add(f"{raw_name}.max", "gauge", value.get("max"))
-        else:
+        if kind not in ("counter", "gauge", "histogram"):
             raise ValueError(
                 f"cannot expose metric {raw_name!r}: unknown type {kind!r}"
             )
-
-
-# Backwards-compatible alias for the pre-public name.
-_add_registry_export = add_registry_export
+        name = sanitize_name(raw_name)
+        builder.family(name, kind, _HELP.get(raw_name))
+        for labels, value in metrics_mod.export_cells(entry):
+            if kind != "histogram":
+                if value is not None:
+                    builder.sample(name, value, labels)
+                continue
+            value = value or {}
+            histogram_samples(builder, name, value, labels)
+            # Exact extrema ride along as gauges for label-free cells.
+            if value.get("count") and not labels:
+                builder.add(f"{raw_name}.min", "gauge", value.get("min"))
+                builder.add(f"{raw_name}.max", "gauge", value.get("max"))
 
 
 def _add_analytics(
@@ -375,7 +399,7 @@ def render_registry(
     result — appends the derived quality/funnel/shard gauges.
     """
     builder = ExpositionBuilder()
-    _add_registry_export(
+    add_registry_export(
         builder, (registry or metrics_mod.registry()).export()
     )
     if analytics:
@@ -401,7 +425,7 @@ def render_report(report: Mapping[str, Any]) -> str:
         if kind is None:
             kind = "histogram" if isinstance(value, dict) else "gauge"
         exported[name] = {"type": kind, "value": value}
-    _add_registry_export(builder, exported)
+    add_registry_export(builder, exported)
     _add_analytics(builder, analyze_report(dict(report)))
     return builder.render()
 

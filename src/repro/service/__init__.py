@@ -7,13 +7,12 @@ Four layers, each usable on its own:
   search resume with a provably identical result;
 * :mod:`repro.service.cache` — :class:`ResultCache`, the
   content-addressed, LRU-bounded store of finished flow results;
-* :mod:`repro.service.metrics` — :class:`ServiceMetrics`, the
-  process-global labelled metrics registry behind the live
-  ``GET /api/v1/metrics`` OpenMetrics scrape;
 * :mod:`repro.service.jobs` — :class:`JobManager`, asynchronous
   submit/poll/cancel execution of flows in per-job child processes,
-  with cache-hit short-circuiting, crash/restart resume, and a
-  per-child CPU/RSS resource sampler;
+  with cache-hit short-circuiting, crash/restart resume, a per-child
+  CPU/RSS resource sampler, and its own labelled
+  :class:`~repro.obs.MetricsRegistry` behind the live
+  ``GET /api/v1/metrics`` OpenMetrics scrape;
 * :mod:`repro.service.server` / :mod:`repro.service.client` —
   :class:`FloorplanService` (stdlib HTTP transport with NDJSON live
   streaming) and :class:`ServiceClient`, its urllib counterpart.
@@ -28,11 +27,6 @@ from .checkpoint import (
     CheckpointStore,
 )
 from .client import ServiceClient, ServiceError
-from .metrics import (
-    ServiceMetrics,
-    reset_service_metrics,
-    service_metrics,
-)
 from .jobs import (
     CANCELLED,
     DEFAULT_MAX_TERMINAL_JOBS,
@@ -78,9 +72,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceHandler",
-    "ServiceMetrics",
     "TERMINAL_STATES",
     "cache_key",
-    "reset_service_metrics",
-    "service_metrics",
 ]

@@ -66,7 +66,6 @@ from ..validate.lint import DesignLintError, ERROR, check_design
 from ..validate.verify_result import verify_result_payload
 from .cache import DEFAULT_MAX_ENTRIES, ResultCache
 from .checkpoint import CheckpointStore
-from .metrics import ServiceMetrics, service_metrics
 
 logger = obs.get_logger("service.jobs")
 
@@ -262,7 +261,7 @@ def _job_worker_main(job_dir: str, parent_pid: int, event_queue) -> None:
     and drops ``profile.json``/``profile.txt`` beside the result, with
     the hotspot summary folded into the report.  On exit — success or
     failure — the child ships its typed metrics export back over the
-    event queue for the parent's :class:`ServiceMetrics` to merge.
+    event queue for the parent's metrics registry to merge.
     """
     _start_parent_watchdog(parent_pid)
     job_path = Path(job_dir)
@@ -391,7 +390,7 @@ class JobManager:
         crash_retries: int = DEFAULT_CRASH_RETRIES,
         start_method: Optional[str] = None,
         max_terminal_jobs: int = DEFAULT_MAX_TERMINAL_JOBS,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[obs.MetricsRegistry] = None,
     ):
         self.data_dir = Path(data_dir)
         self.jobs_dir = self.data_dir / "jobs"
@@ -404,7 +403,10 @@ class JobManager:
         self.max_workers = max(1, max_workers)
         # Metrics and the resource sampler exist before _recover(): a
         # recovery requeue already increments the resume counter.
-        self.metrics = metrics if metrics is not None else service_metrics()
+        self.metrics = (
+            metrics if metrics is not None else obs.MetricsRegistry()
+        )
+        self._started = time.monotonic()
         self._cache_counted = {"hits": 0, "misses": 0, "evictions": 0}
         self.resources = obs.ResourceSampler(
             self._resource_targets, self._on_resource_sample
@@ -458,10 +460,7 @@ class JobManager:
         """
         profile_fmt = obs.profile_format(profile) if profile else None
         design_obj = check_design(design)
-        self.metrics.counter(
-            "service.jobs.submitted",
-            help="Job submissions accepted (past design lint)",
-        ).inc()
+        self.metrics.counter("service.jobs.submitted").inc()
         if config is None:
             cfg = FlowConfig()
         elif isinstance(config, FlowConfig):
@@ -610,6 +609,11 @@ class JobManager:
             )
             return new, done
 
+    @property
+    def uptime_s(self) -> float:
+        """Seconds since this manager started."""
+        return time.monotonic() - self._started
+
     def stats(self) -> Dict[str, Any]:
         """Manager-level counters for the ``/stats`` endpoint."""
         with self._events:
@@ -622,7 +626,7 @@ class JobManager:
             "queued": self._queue.qsize(),
             "queue_depth": self._queue.qsize(),
             "workers": self.max_workers,
-            "uptime_s": round(self.metrics.uptime_s, 3),
+            "uptime_s": round(self.uptime_s, 3),
             "cache_hit_ratio": cache.get("hit_ratio"),
             "cache": cache,
         }
@@ -663,35 +667,20 @@ class JobManager:
                 by_state[job.state] = by_state.get(job.state, 0) + 1
         for state, count in by_state.items():
             self.metrics.gauge(
-                "service.jobs.state",
-                {"state": state.lower()},
-                help="Jobs currently in each lifecycle state",
+                "service.jobs.state", {"state": state.lower()}
             ).set(count)
-        self.metrics.gauge(
-            "service.queue.depth",
-            help="Submitted jobs waiting for a free runner",
-        ).set(self._queue.qsize())
-        self.metrics.gauge(
-            "service.uptime_seconds",
-            help="Seconds since the service metrics scope started",
-        ).set(round(self.metrics.uptime_s, 3))
+        self.metrics.gauge("service.queue.depth").set(self._queue.qsize())
+        self.metrics.gauge("service.uptime_seconds").set(
+            round(self.uptime_s, 3)
+        )
         cache = self.cache.stats()
-        self.metrics.gauge(
-            "service.cache.entries",
-            help="Result-cache entries currently on disk",
-        ).set(cache["entries"])
-        for field_name, help_text in (
-            ("hits", "Result-cache lookups answered from disk"),
-            ("misses", "Result-cache lookups that ran the flow"),
-            ("evictions", "Result-cache entries evicted (LRU or poison)"),
-        ):
+        self.metrics.gauge("service.cache.entries").set(cache["entries"])
+        for field_name in ("hits", "misses", "evictions"):
             delta = cache[field_name] - self._cache_counted[field_name]
             if delta > 0:
-                self.metrics.counter(
-                    f"service.cache.{field_name}", help=help_text
-                ).inc(delta)
+                self.metrics.counter(f"service.cache.{field_name}").inc(delta)
                 self._cache_counted[field_name] = cache[field_name]
-        return self.metrics.render()
+        return obs.render_registry(self.metrics)
 
     def shutdown(self) -> None:
         """Stop the runner threads and terminate any running children."""
@@ -793,11 +782,7 @@ class JobManager:
         self._gc_terminal_locked()
 
     def _count_resume(self) -> None:
-        self.metrics.counter(
-            "service.jobs.resumed",
-            help="Jobs requeued to resume from checkpoint (crash or "
-            "restart)",
-        ).inc()
+        self.metrics.counter("service.jobs.resumed").inc()
 
     def _salvage_job(self, job_dir: Path) -> Optional[Job]:
         """Rebuild a job record from ``spec.json`` when state.json tore.
@@ -866,17 +851,15 @@ class JobManager:
         now = round(time.time(), 3)
         if state == RUNNING and job.started_unix_s is None:
             job.started_unix_s = now
-            self.metrics.histogram(
-                "service.job.queue_wait_seconds",
-                help="Seconds jobs spent queued before a runner took them",
-            ).observe(max(0.0, now - job.created_unix_s))
+            self.metrics.histogram("service.job.queue_wait_seconds").observe(
+                max(0.0, now - job.created_unix_s)
+            )
         if state in TERMINAL_STATES:
             job.finished_unix_s = now
             if job.started_unix_s is not None and not job.cached:
-                self.metrics.histogram(
-                    "service.job.run_seconds",
-                    help="Wall-clock seconds from first start to terminal",
-                ).observe(max(0.0, now - job.started_unix_s))
+                self.metrics.histogram("service.job.run_seconds").observe(
+                    max(0.0, now - job.started_unix_s)
+                )
             self.resources.pop(job.id)
             self.metrics.discard("job.cpu_percent", {"job": job.id})
             self.metrics.discard("job.rss_bytes", {"job": job.id})
@@ -922,7 +905,7 @@ class JobManager:
         append to the job's event log."""
         if isinstance(event, dict) and event.get("type") == "metrics":
             try:
-                self.metrics.merge_child(event.get("export") or {})
+                self.metrics.merge_export(event.get("export") or {})
             except Exception:  # noqa: BLE001 - advisory telemetry
                 logger.exception(
                     "job %s: child metrics merge failed", job.id
@@ -947,21 +930,19 @@ class JobManager:
         self, job_id: str, sample: Dict[str, float]
     ) -> None:
         """Publish one job's resource sample (sampler callback)."""
-        labels = {"job": job_id}
-        self.metrics.gauge(
-            "job.cpu_percent",
-            labels,
-            help="CPU utilization of the job child over the last sample "
-            "interval",
-        ).set(round(sample["cpu_percent"], 2))
-        self.metrics.gauge(
-            "job.rss_bytes",
-            labels,
-            help="Resident set size of the job child",
-        ).set(sample["rss_bytes"])
         with self._events:
             job = self._jobs.get(job_id)
+            # Only a RUNNING job publishes: the terminal transition
+            # discards these gauges under this same lock, so a late
+            # sample cannot bring them back.
             if job is not None and job.state == RUNNING:
+                labels = {"job": job_id}
+                self.metrics.gauge("job.cpu_percent", labels).set(
+                    round(sample["cpu_percent"], 2)
+                )
+                self.metrics.gauge("job.rss_bytes", labels).set(
+                    sample["rss_bytes"]
+                )
                 self._append_event_locked(
                     job,
                     {

@@ -26,12 +26,13 @@ follow a search live without polling.  Everything runs on
 which is exactly enough for a workstation-local solver service and keeps
 the dependency budget at zero.
 
-Every request is instrumented into the manager's
-:class:`~repro.service.metrics.ServiceMetrics`: a
+Every request is instrumented into the manager's labelled
+:class:`~repro.obs.MetricsRegistry`: a
 ``repro_http_requests_total{method,endpoint,status}`` counter and a
 ``repro_http_request_seconds{method,endpoint}`` latency histogram, with
 the endpoint label normalized to its route template (``/jobs/{id}``,
-never a raw job id) so label cardinality stays bounded.
+never a raw job id) and every path outside the table above counted as
+``other``, so label cardinality stays bounded.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ API_PREFIX = "/api/v1"
 
 OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
+)
+
+# The routed collections and job actions (the table above); any other
+# path is labelled ``other`` in the request metrics.
+_COLLECTIONS = ("healthz", "jobs", "metrics", "stats")
+_JOB_ACTIONS = (
+    "cancel", "dashboard", "events", "profile", "report", "result",
 )
 
 # One blocking wait per streaming poll; short enough that cancellation
@@ -161,9 +169,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             collection, job_id, action = self._route()
         except LookupError:
             return "other"
-        if collection == "jobs" and job_id is not None:
-            return f"/jobs/{{id}}/{action}" if action else "/jobs/{id}"
-        return f"/{collection}"
+        if collection in _COLLECTIONS and job_id is None:
+            return f"/{collection}"
+        if collection == "jobs" and action is None:
+            return "/jobs/{id}"
+        if collection == "jobs" and action in _JOB_ACTIONS:
+            return f"/jobs/{{id}}/{action}"
+        return "other"
 
     def _instrumented(self, method: str, handler) -> None:
         """Run a verb handler under request count + latency metrics."""
@@ -183,13 +195,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         "endpoint": endpoint,
                         "status": self._last_status or 0,
                     },
-                    help="HTTP requests handled, by route template and "
-                    "status",
                 ).inc()
                 metrics.histogram(
                     "http.request_seconds",
                     {"method": method, "endpoint": endpoint},
-                    help="HTTP request handling latency",
                 ).observe(elapsed)
             except Exception:  # noqa: BLE001 - telemetry never breaks serving
                 logger.exception("request metrics update failed")

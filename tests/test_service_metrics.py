@@ -1,10 +1,12 @@
-"""Tests for live service telemetry: ServiceMetrics + the /metrics scrape.
+"""Tests for live service telemetry: the labelled registry + /metrics.
 
-Unit tests pin the labelled-cell facade (cells group under one family,
-kind conflicts fail loudly, child exports merge by plain name); the
-integration class drives the full scrape loop from the issue: a running
-server, a verification-FAILed job, a cache hit, scrapes mid-run and
-after, all strict-parsed with :func:`parse_exposition`.
+Unit tests pin the labelled :class:`MetricsRegistry` as the service uses
+it (label sets group under one family, kind conflicts fail loudly,
+label values never collide, child exports merge by ``(name, labels)``),
+rendered through :func:`render_registry`; the integration class drives
+the full scrape loop: a running server, a verification-FAILed job, a
+cache hit, scrapes mid-run and after, all strict-parsed with
+:func:`parse_exposition`.
 """
 
 import time
@@ -13,17 +15,24 @@ import pytest
 
 from repro.benchgen import load_tiny
 from repro.io import design_to_dict
+from repro.obs import MetricsRegistry, render_registry
 from repro.obs.openmetrics import parse_exposition
 from repro.service import (
     FloorplanService,
+    JobManager,
     OPENMETRICS_CONTENT_TYPE,
     ServiceClient,
     ServiceError,
-    ServiceMetrics,
-    reset_service_metrics,
-    service_metrics,
 )
 from repro.validate import faults
+
+# The route templates the request metrics may label an endpoint with.
+KNOWN_ENDPOINTS = {
+    "/healthz", "/jobs", "/metrics", "/stats", "/jobs/{id}",
+    "/jobs/{id}/cancel", "/jobs/{id}/dashboard", "/jobs/{id}/events",
+    "/jobs/{id}/profile", "/jobs/{id}/report", "/jobs/{id}/result",
+    "other",
+}
 
 
 def sample_value(families, family, suffix="", **labels):
@@ -40,11 +49,12 @@ def sample_value(families, family, suffix="", **labels):
 
 class TestServiceMetricsUnit:
     def test_labelled_cells_group_under_one_family(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.counter("http.requests", {"status": "200"}).inc(3)
         metrics.counter("http.requests", {"status": "404"}).inc()
-        text = metrics.render()
+        text = render_registry(metrics)
         assert text.count("# TYPE repro_http_requests counter") == 1
+        assert text.count("# HELP repro_http_requests ") == 1
         families = parse_exposition(text)
         assert sample_value(
             families, "repro_http_requests", "_total", status="200"
@@ -54,68 +64,145 @@ class TestServiceMetricsUnit:
         ) == 1.0
 
     def test_same_labels_return_the_same_instrument(self):
-        metrics = ServiceMetrics()
-        a = metrics.gauge("service.queue.depth", {"q": "main"})
-        b = metrics.gauge("service.queue.depth", {"q": "main"})
+        metrics = MetricsRegistry()
+        a = metrics.gauge("service.queue.depth", {"q": "main", "p": 1})
+        b = metrics.gauge("service.queue.depth", {"p": "1", "q": "main"})
         assert a is b
+        assert a is not metrics.gauge("service.queue.depth")
 
     def test_kind_conflict_rejected(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.counter("service.jobs.submitted")
         with pytest.raises(TypeError, match="already registered"):
             metrics.gauge("service.jobs.submitted")
+        metrics.counter("http.requests", {"status": "200"})
+        with pytest.raises(TypeError, match="already registered"):
+            metrics.histogram("http.requests", {"status": "500"})
+
+    def test_label_values_never_collide(self):
+        # A label value that looks like an encoded label list is data,
+        # not syntax: the two label sets stay two cells.
+        metrics = MetricsRegistry()
+        metrics.counter("probe", {"a": 'x",b="y'}).inc(1)
+        metrics.counter("probe", {"a": "x", "b": "y"}).inc(5)
+        families = parse_exposition(render_registry(metrics))
+        assert {
+            tuple(sorted(labels.items())): value
+            for _, labels, value in families["repro_probe"]["samples"]
+        } == {
+            (("a", "x"), ("b", "y")): 5.0,
+            (("a", 'x",b="y'),): 1.0,
+        }
 
     def test_labelled_histogram_renders_per_label_buckets(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.histogram("http.request_seconds", {"m": "GET"}).observe(0.01)
         metrics.histogram("http.request_seconds", {"m": "POST"}).observe(2.0)
-        families = parse_exposition(metrics.render())
+        families = parse_exposition(render_registry(metrics))
         fam = families["repro_http_request_seconds"]
         assert fam["type"] == "histogram"
         assert sample_value(
             families, "repro_http_request_seconds", "_count", m="GET"
         ) == 1.0
-        get_inf = sample_value(
+        assert sample_value(
             families, "repro_http_request_seconds", "_bucket",
             m="GET", le="+Inf",
-        )
-        assert get_inf == 1.0
+        ) == 1.0
+        assert sample_value(
+            families, "repro_http_request_seconds", "_bucket",
+            m="POST", le="1",
+        ) == 0.0
+        assert sample_value(
+            families, "repro_http_request_seconds", "_bucket",
+            m="POST", le="2.5",
+        ) == 1.0
 
     def test_discard_retires_a_cell(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.gauge("job.rss_bytes", {"job": "a1"}).set(42.0)
+        metrics.gauge("job.rss_bytes", {"job": "b2"}).set(7.0)
         metrics.discard("job.rss_bytes", {"job": "a1"})
+        families = parse_exposition(render_registry(metrics))
+        assert sample_value(families, "repro_job_rss_bytes", job="a1") is None
+        assert sample_value(families, "repro_job_rss_bytes", job="b2") == 7.0
+        metrics.discard("job.rss_bytes", {"job": "b2"})
         assert "repro_job_rss_bytes" not in parse_exposition(
-            metrics.render()
+            render_registry(metrics)
         )
 
     def test_merge_child_folds_plain_names(self):
-        metrics = ServiceMetrics()
-        metrics.merge_child(
-            {"floorplan.efa.expanded": {"type": "counter", "value": 5}}
-        )
-        metrics.merge_child(
-            {"floorplan.efa.expanded": {"type": "counter", "value": 2}}
-        )
-        families = parse_exposition(metrics.render())
+        metrics = MetricsRegistry()
+        metrics.counter("http.requests", {"status": "200"}).inc()
+        for amount in (5, 2):
+            child = MetricsRegistry()
+            child.counter("floorplan.efa.expanded").inc(amount)
+            metrics.merge_export(child.export())
+        families = parse_exposition(render_registry(metrics))
         assert sample_value(
             families, "repro_floorplan_efa_expanded", "_total"
         ) == 7.0
+        assert sample_value(
+            families, "repro_http_requests", "_total", status="200"
+        ) == 1.0
 
-    def test_uptime_monotone(self):
-        metrics = ServiceMetrics()
-        first = metrics.uptime_s
-        assert first >= 0.0
-        assert metrics.uptime_s >= first
+    def test_labelled_export_merge_render_round_trip(self):
+        source = MetricsRegistry()
+        source.counter("http.requests", {"status": "200"}).inc(2)
+        source.counter("http.requests", {"status": "404"}).inc()
+        source.gauge("service.jobs.state", {"state": "done"}).set(4)
+        source.histogram("http.request_seconds", {"m": "GET"}).observe(0.3)
+        source.histogram("service.job.run_seconds").observe(1.5)
+        source.counter("floorplan.efa.pruned_illegal").inc(9)
+        exported = source.export()
+        # Label-free families keep the flat entry shape.
+        assert exported["floorplan.efa.pruned_illegal"] == {
+            "type": "counter", "value": 9,
+        }
+        assert exported["http.requests"]["series"] == [
+            {"labels": {"status": "200"}, "value": 2},
+            {"labels": {"status": "404"}, "value": 1},
+        ]
+        target = MetricsRegistry()
+        target.merge_export(exported)
+        assert target.export() == exported
+        assert render_registry(target) == render_registry(source)
+        target.merge_export(exported)
+        families = parse_exposition(render_registry(target))
+        assert sample_value(
+            families, "repro_http_requests", "_total", status="200"
+        ) == 4.0
+        assert sample_value(
+            families, "repro_http_request_seconds", "_count", m="GET"
+        ) == 2.0
+        assert sample_value(
+            families, "repro_service_jobs_state", state="done"
+        ) == 4.0
 
-    def test_reset_replaces_the_process_global(self):
-        before = service_metrics()
-        fresh = reset_service_metrics()
+    def test_uptime_monotone(self, tmp_path):
+        manager = JobManager(tmp_path, max_workers=1)
         try:
-            assert fresh is service_metrics()
-            assert fresh is not before
+            first = manager.stats()["uptime_s"]
+            assert first >= 0.0
+            time.sleep(0.01)
+            assert manager.stats()["uptime_s"] >= first
         finally:
-            reset_service_metrics()
+            manager.shutdown()
+
+    def test_late_resource_sample_does_not_revive_gauges(self, tmp_path):
+        # The sampler can fire after a job went terminal (or for an id
+        # the manager never knew); neither may create per-job gauges.
+        manager = JobManager(tmp_path, max_workers=1)
+        try:
+            manager._on_resource_sample(
+                "gone",
+                {"cpu_percent": 1.0, "rss_bytes": 1 << 20,
+                 "cpu_time_s": 0.1},
+            )
+            families = parse_exposition(manager.render_metrics())
+            assert "repro_job_rss_bytes" not in families
+            assert "repro_job_cpu_percent" not in families
+        finally:
+            manager.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +216,7 @@ class TestScrapeLoop:
     @pytest.fixture()
     def service(self, tmp_path):
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             yield svc
 
@@ -252,6 +339,39 @@ class TestScrapeLoop:
         assert text.endswith("# EOF\n")
         parse_exposition(text)  # strict: raises on malformed output
 
+    def test_unknown_paths_share_the_other_endpoint(self, service, client):
+        import urllib.error
+        import urllib.request
+
+        paths = (
+            [f"/api/v1/nope{i}" for i in range(20)]
+            + [f"/api/v1/jobs/x{i}/bogus{i}" for i in range(20)]
+            + [f"/api/v1/stats/extra{i}" for i in range(5)]
+            + [f"/elsewhere{i}" for i in range(5)]
+        )
+        for path in paths:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(service.url + path, timeout=10)
+            assert err.value.code == 404
+        # A request is counted just after its response is written, so
+        # give the last one a moment to land.
+        deadline = time.monotonic() + 10
+        while True:
+            families = parse_exposition(client.metrics())
+            others = sample_value(
+                families, "repro_http_requests", "_total",
+                method="GET", endpoint="other", status="404",
+            )
+            if others == len(paths) or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert others == len(paths)
+        endpoints = {
+            labels["endpoint"]
+            for _, labels, _ in families["repro_http_requests"]["samples"]
+        }
+        assert endpoints <= KNOWN_ENDPOINTS
+
     def test_resource_gauges_appear_and_retire(
         self, tmp_path, design_dict, monkeypatch
     ):
@@ -262,7 +382,7 @@ class TestScrapeLoop:
         # Sample fast enough to catch the short flow child.
         monkeypatch.setenv(resources.SAMPLE_ENV, "0.05")
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             client = ServiceClient(svc.url)
             view = client.submit(design_dict)
@@ -310,7 +430,7 @@ class TestScrapeLoop:
 class TestStatsRoundTrip:
     def test_stats_gains_telemetry_fields(self, tmp_path, design_dict):
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             client = ServiceClient(svc.url)
             stats = client.stats()
@@ -333,7 +453,7 @@ class TestProfileEndpoint:
         import json
 
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             client = ServiceClient(svc.url)
             view = client.submit(design_dict, profile="speedscope")
@@ -351,7 +471,7 @@ class TestProfileEndpoint:
         # Same LookupError -> 409 mapping as result-before-done: the job
         # exists, it just was not submitted with profiling.
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             client = ServiceClient(svc.url)
             view = client.submit(design_dict)
@@ -362,7 +482,7 @@ class TestProfileEndpoint:
 
     def test_bad_profile_format_rejected(self, tmp_path, design_dict):
         with FloorplanService(
-            tmp_path, port=0, max_workers=1, metrics=ServiceMetrics()
+            tmp_path, port=0, max_workers=1, metrics=MetricsRegistry()
         ) as svc:
             client = ServiceClient(svc.url)
             with pytest.raises(ServiceError) as err:
