@@ -3,7 +3,8 @@
 Unlike the table benches (single-shot experiment reproductions), these are
 classic repeated-measurement micro-benchmarks of the inner loops every
 experiment leans on: sequence-pair packing, the vectorized HPWL
-evaluator, the MST builder, the MCMF solver and window matching.  Useful
+evaluator, the MST builder, the assignment kernel beside the MCMF oracle
+it replaced on the hot path, and window matching.  Useful
 for catching performance regressions when touching the substrates.
 """
 
@@ -16,7 +17,7 @@ from repro.floorplan import FastHpwlEvaluator, run_efa  # noqa: F401
 from repro.floorplan.efa import EnumerativeFloorplanner, EFAConfig
 from repro.geometry import Point
 from repro.mst import mst_length
-from repro.netflow import FlowNetwork, min_cost_max_flow
+from repro.netflow import FlowNetwork, min_cost_assignment, min_cost_max_flow
 from repro.assign import window_candidates
 
 import numpy as np
@@ -78,6 +79,23 @@ def test_micro_mcmf_bipartite(benchmark):
 
     flow = benchmark(build_and_solve)
     assert flow == n_left
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_assignment_kernel(benchmark):
+    # The same instance as test_micro_mcmf_bipartite, as a dense matrix.
+    n_left, n_right = 40, 120
+
+    def build_and_solve():
+        matrix = np.full((n_left, n_right), np.inf)
+        local = random.Random(2)
+        for i in range(n_left):
+            for j in local.sample(range(n_right), 12):
+                matrix[i, j] = local.uniform(0, 10)
+        return min_cost_assignment(matrix).matched
+
+    matched = benchmark(build_and_solve)
+    assert matched == n_left
 
 
 @pytest.mark.benchmark(group="micro")

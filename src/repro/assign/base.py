@@ -25,8 +25,8 @@ class SubSapStats:
     flow_cost: float = 0.0
     runtime_s: float = 0.0
     window_retries: int = 0
-    augmentations: int = 0  # MCMF augmenting paths (0 for non-flow assigners)
-    nodes_settled: int = 0  # Dijkstra nodes settled across the MCMF runs
+    augmentations: int = 0  # Augmenting paths (0 for non-flow assigners)
+    nodes_settled: int = 0  # Columns scanned by the assignment kernel
 
 
 @dataclass

@@ -18,9 +18,11 @@ This implementation mirrors those restrictions faithfully:
   column, where our window method is grafted onto [5] to make the big
   cases tractable.
 
-The minimum-cost bipartite matching itself is solved with the same MCMF
-substrate (a unit-capacity bipartite min-cost flow *is* an assignment
-problem), just as [5]'s matcher would.
+The minimum-cost bipartite matching itself is solved with the same
+assignment kernel as the MCMF assigner
+(:func:`repro.netflow.min_cost_assignment`, on a dense buffers x
+reachable-bumps cost matrix): a unit-capacity bipartite min-cost flow *is*
+an assignment problem, just as [5]'s matcher solves it.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..model import Assignment, Design, Floorplan
-from ..netflow import FlowNetwork, min_cost_max_flow
+from ..netflow import min_cost_assignment
 from .base import (
     AssignmentError,
     AssignmentRunResult,
     SubSapStats,
     die_processing_order,
 )
-from .window import window_candidates
+from .window import candidate_cost_matrix, window_candidates
 
 
 @dataclass
@@ -157,6 +159,15 @@ class BipartiteAssigner:
         def expired() -> bool:
             return deadline is not None and time.monotonic() > deadline
 
+        def row_costs(i: int, cand: np.ndarray) -> np.ndarray:
+            anchor = anchors[buffers[i].id]
+            return alpha * (
+                np.abs(sx[cand] - source_pos[i].x)
+                + np.abs(sy[cand] - source_pos[i].y)
+            ) + beta * (
+                np.abs(sx[cand] - anchor.x) + np.abs(sy[cand] - anchor.y)
+            )
+
         retries = 0
         while True:
             if expired():
@@ -185,47 +196,15 @@ class BipartiteAssigner:
                     "(the paper's [5] ran out of memory the same way)"
                 )
 
-            network = FlowNetwork()
-            source = network.add_node("s")
-            sink = network.add_node("t")
-            used_sites = sorted({int(j) for c in candidates for j in c})
-            site_node = {}
-            for j in used_sites:
-                node = network.add_node()
-                site_node[j] = node
-                network.add_edge(node, sink, 1, 0.0)
-            arc_of = []
-            for i, buf in enumerate(buffers):
-                node = network.add_node()
-                network.add_edge(source, node, 1, 0.0)
-                anchor = anchors[buf.id]
-                cand = candidates[i]
-                costs = alpha * (
-                    np.abs(sx[cand] - source_pos[i].x)
-                    + np.abs(sy[cand] - source_pos[i].y)
-                ) + beta * (
-                    np.abs(sx[cand] - anchor.x) + np.abs(sy[cand] - anchor.y)
-                )
-                arcs = []
-                for j, c in zip(cand, costs):
-                    arc = network.add_edge(
-                        node, site_node[int(j)], 1, float(c)
-                    )
-                    arcs.append((arc, int(j)))
-                arc_of.append(arcs)
-
-            result = min_cost_max_flow(
-                network, source, sink, flow_limit=len(buffers),
-                should_abort=expired,
+            matrix, used_sites = candidate_cost_matrix(
+                candidates, len(site_ids), row_costs
             )
-            if result.flow == len(buffers):
-                for i, arcs in enumerate(arc_of):
-                    for arc, j in arcs:
-                        if network.flow_on(arc) > 0.5:
-                            assignment.buffer_to_bump[buffers[i].id] = (
-                                site_ids[j]
-                            )
-                            break
+            result = min_cost_assignment(matrix, should_abort=expired)
+            if result.matched == len(buffers):
+                for i, col in enumerate(result.col_of_row.tolist()):
+                    assignment.buffer_to_bump[buffers[i].id] = site_ids[
+                        used_sites[col]
+                    ]
                 return SubSapStats(
                     scope=die_id,
                     demand=len(buffers),
@@ -241,7 +220,7 @@ class BipartiteAssigner:
                 )
             if not cfg.window_matching:
                 raise AssignmentError(
-                    f"die {die_id!r} matching infeasible: {result.flow} of "
+                    f"die {die_id!r} matching infeasible: {result.matched} of "
                     f"{len(buffers)} buffers matched"
                 )
             retries += 1

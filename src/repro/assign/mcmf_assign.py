@@ -3,12 +3,14 @@
 The SAP is decomposed into sub-problems: one per die (assigning each
 signal-carrying I/O buffer to a micro-bump of that die), solved in
 decreasing |B_i| order, then one for the interposer (assigning each
-escaping point to a TSV).  Each sub-SAP becomes a unit-capacity min-cost
-max-flow instance: source -> buffers -> candidate bumps -> sink, with the
+escaping point to a TSV).  Each sub-SAP is a unit-capacity min-cost
+max-flow instance — source -> buffers -> candidate bumps -> sink, with the
 buffer->bump arcs costed by Eq. 3 against the signal's *current* MST
-topology; solved sub-SAPs immediately rehome their signals' terminals onto
-the chosen bumps (edge splitting), so later sub-SAPs optimize against real
-bump positions.
+topology — which is a rectangular assignment problem: it is built as a
+dense buffers x reachable-bumps cost matrix (``+inf`` off the window) and
+solved by :func:`repro.netflow.min_cost_assignment`.  Solved sub-SAPs
+immediately rehome their signals' terminals onto the chosen bumps (edge
+splitting), so later sub-SAPs optimize against real bump positions.
 
 Two variants match the paper's Table 3:
 
@@ -30,7 +32,10 @@ import numpy as np
 from ..geometry import Point
 from ..model import Assignment, Design, Floorplan, Terminal, TerminalKind
 from ..mst import SignalTopology, build_topologies
-from ..netflow import FlowNetwork, min_cost_max_flow
+from ..netflow import AssignmentSolution, min_cost_assignment
+# Not called here: kept importable at this binding for callers that
+# wrap the dict-graph oracle through this module (perfbench's tracer).
+from ..netflow import min_cost_max_flow  # noqa: F401
 from ..obs import Progress, get_logger, metrics, span
 from .base import (
     AssignmentError,
@@ -39,7 +44,7 @@ from .base import (
     die_processing_order,
 )
 from .cost import assignment_cost, far_terminal_weight
-from .window import window_candidates
+from .window import candidate_cost_matrix, window_candidates
 
 logger = get_logger("assign.mcmf")
 
@@ -452,16 +457,16 @@ class MCMFAssigner:
                     topologies,
                     clock,
                 )
-                augmentations += result.augmentations
-                nodes_settled += result.settled
+                augmentations += result.matched
+                nodes_settled += result.scanned
                 metrics.counter("assign.mcmf.runs").inc()
                 metrics.counter("assign.mcmf.augmenting_paths").inc(
-                    result.augmentations
+                    result.matched
                 )
                 metrics.counter("assign.mcmf.nodes_settled").inc(
-                    result.settled
+                    result.scanned
                 )
-                if result.flow == n_sources:
+                if result.matched == n_sources:
                     stats = SubSapStats(
                         scope=scope,
                         demand=n_sources,
@@ -492,7 +497,7 @@ class MCMFAssigner:
                     )
                 if not cfg.window_matching:
                     raise AssignmentError(
-                        f"sub-SAP {scope!r} infeasible: only {result.flow} "
+                        f"sub-SAP {scope!r} infeasible: only {result.matched} "
                         f"of {n_sources} sources served"
                     )
                 retries += 1
@@ -506,7 +511,7 @@ class MCMFAssigner:
                     "sub-SAP %s: only %d of %d sources served; expanding "
                     "windows (retry %d/%d)",
                     scope,
-                    int(result.flow),
+                    result.matched,
                     n_sources,
                     retries,
                     cfg.max_window_retries,
@@ -523,57 +528,34 @@ class MCMFAssigner:
         leg_weight: float,
         topologies: Dict[str, SignalTopology],
         clock: _BudgetClock,
-    ):
-        """Build and solve the flow network for one sub-SAP attempt."""
+    ) -> Tuple[Dict[int, int], AssignmentSolution]:
+        """Build and solve the assignment matrix for one sub-SAP attempt."""
         weights = design.weights
-        network = FlowNetwork()
-        source = network.add_node("s")
-        sink = network.add_node("t")
-
-        # Only materialize nodes for sites some buffer can actually reach.
-        used_sites = sorted({int(j) for c in candidates for j in c})
-        site_node: Dict[int, int] = {}
-        for j in used_sites:
-            node = network.add_node()
-            site_node[j] = node
-            network.add_edge(node, sink, 1, 0.0)
-
         sx = np.asarray([p.x for p in site_pos])
         sy = np.asarray([p.y for p in site_pos])
 
-        arc_of: List[List[Tuple[int, int]]] = []  # per source: (arc, site)
-        for i, key in enumerate(source_keys):
-            node = network.add_node()
-            network.add_edge(source, node, 1, 0.0)
-            topo = topologies[source_signals[i]]
-            far = topo.neighbors(key)
-            cand = candidates[i]
+        def row_costs(i: int, cand: np.ndarray) -> np.ndarray:
             # Vectorized Eq. 3 over this source's candidate sites.
             costs = leg_weight * (
                 np.abs(sx[cand] - source_pos[i].x)
                 + np.abs(sy[cand] - source_pos[i].y)
             )
-            for t in far:
+            for t in topologies[source_signals[i]].neighbors(source_keys[i]):
                 w = far_terminal_weight(t.kind, weights)
                 costs = costs + w * (
                     np.abs(sx[cand] - t.position.x)
                     + np.abs(sy[cand] - t.position.y)
                 )
-            arcs = []
-            for j, c in zip(cand, costs):
-                arc = network.add_edge(node, site_node[int(j)], 1, float(c))
-                arcs.append((arc, int(j)))
-            arc_of.append(arcs)
+            return costs
 
+        matrix, used_sites = candidate_cost_matrix(
+            candidates, len(site_pos), row_costs
+        )
         with span("assign.mcmf"):
-            result = min_cost_max_flow(
-                network, source, sink, flow_limit=len(source_keys),
-                should_abort=clock.expired,
-            )
-        mapping: Dict[int, int] = {}
-        for i, arcs in enumerate(arc_of):
-            for arc, j in arcs:
-                if network.flow_on(arc) > 0.5:
-                    mapping[i] = j
-                    break
+            result = min_cost_assignment(matrix, should_abort=clock.expired)
+        mapping = {
+            i: int(used_sites[col])
+            for i, col in enumerate(result.col_of_row.tolist())
+            if col >= 0
+        }
         return mapping, result

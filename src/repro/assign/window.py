@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -104,3 +104,24 @@ def window_candidates(
         mean_halfwidth=float(sum(halfwidths)) / n_buffers,
     )
     return candidates, stats
+
+
+def candidate_cost_matrix(
+    candidates: Sequence[np.ndarray],
+    n_sites: int,
+    row_costs: Callable[[int, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense sub-SAP cost matrix over the candidate arcs.
+
+    Rows follow ``candidates``; columns are the sites some row can reach,
+    in index order (returned as the second value, mapping column ->
+    site).  ``row_costs(i, cand)`` prices row ``i``'s candidate sites;
+    every other entry is ``+inf`` (no arc).
+    """
+    used_sites = np.unique(np.concatenate(candidates)).astype(np.intp)
+    column_of = np.zeros(n_sites, dtype=np.intp)
+    column_of[used_sites] = np.arange(len(used_sites))
+    matrix = np.full((len(candidates), len(used_sites)), np.inf)
+    for i, cand in enumerate(candidates):
+        matrix[i, column_of[cand]] = row_costs(i, cand)
+    return matrix, used_sites

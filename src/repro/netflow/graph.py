@@ -1,11 +1,13 @@
 """A residual-arc flow network.
 
-The SAP is solved per die by min-cost max-flow (Section 4.1); this module
-provides the network container the solver runs on.  The representation is
-the standard paired-arc scheme: arcs are stored in a flat array with the
-reverse arc of arc ``a`` at index ``a ^ 1``, which makes the residual
-updates inside the solver branch-free and cheap — the innermost loops of
-the whole reproduction run here.
+The SAP is solved per die by min-cost max-flow (Section 4.1).  The flow
+itself is computed by the dense assignment kernel in
+:mod:`repro.netflow.assignment`; this module provides the network
+container of the successive-shortest-path solver that is kept as the
+kernel's test oracle.  The representation is the standard paired-arc
+scheme: arcs are stored in a flat array with the reverse arc of arc ``a``
+at index ``a ^ 1``, which makes the residual updates inside the solver
+branch-free.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Min-cost max-flow by successive shortest paths with potentials.
 
-This replaces the LEDA MCMF solver the paper used.  The algorithm is the
-textbook successive-shortest-path method with Johnson node potentials: all
-arc costs in our networks are non-negative (they are Manhattan distances),
-so every augmentation can use Dijkstra on reduced costs.  Flow values are
-integral because all capacities are integral (they are all 1 in the SAP
-networks), so the algorithm terminates after exactly ``max_flow`` rounds.
+This is the general-purpose stand-in for the LEDA MCMF solver the paper
+used; the assigners solve their sub-SAPs with the dense assignment kernel
+in :mod:`repro.netflow.assignment` and this solver is its test oracle.
+The algorithm is the textbook successive-shortest-path method with
+Johnson node potentials: all arc costs in our networks are non-negative
+(they are Manhattan distances), so every augmentation can use Dijkstra on
+reduced costs.  Flow values are integral because all capacities are
+integral (they are all 1 in the SAP networks), so the algorithm
+terminates after exactly ``max_flow`` rounds.
 
 Floating-point costs are handled with a small tolerance when clamping
 reduced costs; the complementary-slackness checker in

@@ -61,6 +61,11 @@ _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 # of HELP for registry exports; unknown names are exposed with TYPE only
 # (HELP is optional in the format).
 _HELP: Dict[str, str] = {
+    "assign.mcmf.runs": "Sub-SAP solves by the assignment kernel",
+    "assign.mcmf.augmenting_paths":
+        "Augmenting paths found, one per served source",
+    "assign.mcmf.nodes_settled":
+        "Columns scanned by the assignment kernel's Dijkstra searches",
     "floorplan.efa.sequence_pairs_explored":
         "Sequence pairs fully explored by the EFA enumeration",
     "floorplan.efa.pruned_illegal":

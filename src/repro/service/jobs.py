@@ -83,8 +83,10 @@ RESULT_SCHEMA_VERSION = 1
 # Solver identity folded into every cache key.  Bump whenever the flow's
 # result *semantics* change without a flow-config schema bump (a new
 # default pruning rule, a changed tie-break), so stale cached results are
-# missed instead of mis-served.
-SOLVER_CACHE_TAG = "repro-flow-v1"
+# missed instead of mis-served.  v2: sub-SAPs are solved by the dense
+# assignment kernel, which picks a different matching among equal-cost
+# optima than the successive-shortest-path solver did.
+SOLVER_CACHE_TAG = "repro-flow-v2"
 
 # Crashed attempts requeued (resuming from checkpoint) before FAILED.
 DEFAULT_CRASH_RETRIES = 1

@@ -1,5 +1,6 @@
 """Shared fixtures/builders for the test suite."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
@@ -14,6 +15,7 @@ from repro.model import (
     Signal,
     TSV,
 )
+from repro.netflow import FlowNetwork, MCMFResult, min_cost_max_flow
 
 
 def build_design(**overrides):
@@ -60,3 +62,24 @@ def build_design(**overrides):
         signals=signals,
         **overrides,
     )
+
+
+def ssp_assignment(matrix) -> MCMFResult:
+    """The dict-graph SSP oracle on an assignment matrix.
+
+    Builds source -> rows -> columns -> sink with unit capacities and one
+    arc per finite entry, and returns the min-cost max-flow result.
+    """
+    n_rows, n_cols = matrix.shape
+    net = FlowNetwork()
+    s = net.add_node("s")
+    t = net.add_node("t")
+    rows = [net.add_node() for _ in range(n_rows)]
+    cols = [net.add_node() for _ in range(n_cols)]
+    for u in rows:
+        net.add_edge(s, u, 1, 0.0)
+    for v in cols:
+        net.add_edge(v, t, 1, 0.0)
+    for i, j in zip(*np.nonzero(np.isfinite(matrix))):
+        net.add_edge(rows[i], cols[j], 1, float(matrix[i, j]))
+    return min_cost_max_flow(net, s, t)

@@ -5,13 +5,20 @@ test closes the remaining gap — that the *assignment layer* builds the
 right network — by brute-forcing a tiny sub-SAP over all injective
 buffer->bump mappings with the Eq. 3 cost and checking that MCMF_ori's
 first-die solution attains exactly the optimal total cost.
+
+A second oracle runs at full-flow scale: every sub-SAP matrix a t4s
+``run_flow`` hands to the assignment kernel is re-solved by the dict-graph
+successive-shortest-path solver, and the two optima must agree.
 """
 
 from itertools import permutations
 
 import pytest
 
+import repro.assign.mcmf_assign as mcmf_assign
 from repro.assign import MCMFAssigner, MCMFAssignerConfig, assignment_cost
+from repro.benchgen import load_case
+from repro.flow import run_flow
 from repro.geometry import Point, Rect
 from repro.model import (
     Design,
@@ -26,6 +33,8 @@ from repro.model import (
     TSV,
 )
 from repro.mst import build_topologies
+
+from .helpers import ssp_assignment
 
 
 def micro_design():
@@ -125,3 +134,27 @@ class TestExactOracle:
         assert result.complete
         exact = brute_force_first_die_cost(design, floorplan)
         assert result.sub_saps[0].flow_cost >= exact - 1e-9
+
+
+class TestFlowSubSapOracle:
+    def test_every_t4s_sub_sap_matches_the_ssp_optimum(self, monkeypatch):
+        solved = []
+        kernel = mcmf_assign.min_cost_assignment
+
+        def recording_kernel(matrix, should_abort=None):
+            solution = kernel(matrix, should_abort=should_abort)
+            solved.append((matrix.copy(), solution))
+            return solution
+
+        monkeypatch.setattr(
+            mcmf_assign, "min_cost_assignment", recording_kernel
+        )
+        result = run_flow(load_case("t4s"))
+        sub_saps = result.assignment_result.sub_saps
+        assert len(solved) == len(sub_saps) >= 5  # 4 dies + interposer.
+        for (matrix, solution), stats in zip(solved, sub_saps):
+            oracle = ssp_assignment(matrix)
+            assert solution.matched == oracle.flow == stats.demand
+            assert solution.cost == stats.flow_cost
+            scale = max(1.0, abs(oracle.cost))
+            assert abs(solution.cost - oracle.cost) <= 1e-9 * scale

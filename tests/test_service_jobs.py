@@ -95,6 +95,37 @@ class TestJobLifecycle:
         finally:
             manager.shutdown()
 
+    def test_entry_under_previous_solver_tag_is_not_served(
+        self, design, tmp_path, monkeypatch
+    ):
+        # A result cached by the previous solver generation (tag v1) sits
+        # under the same design and config; it must be missed, not served.
+        import repro.service.jobs as jobs
+
+        assert jobs.SOLVER_CACHE_TAG == "repro-flow-v2"
+        current_key = cache_key(design, FlowConfig())
+        monkeypatch.setattr(jobs, "SOLVER_CACHE_TAG", "repro-flow-v1")
+        v1_key = cache_key(design, FlowConfig())
+        monkeypatch.undo()
+        assert v1_key != current_key
+        first = JobManager(tmp_path / "first", max_workers=1)
+        try:
+            view = first.submit(design_to_dict(design))
+            wait_terminal(first, view["id"])
+            payload = first.result(view["id"])
+        finally:
+            first.shutdown()
+        manager = JobManager(tmp_path / "second", max_workers=1)
+        try:
+            manager.cache.put(v1_key, payload)
+            view = manager.submit(design_to_dict(design))
+            assert view["cached"] is False
+            final = wait_terminal(manager, view["id"])
+            assert final["state"] == "DONE" and final["attempts"] == 1
+            assert manager.cache.stats()["hits"] == 0
+        finally:
+            manager.shutdown()
+
     def test_invalid_design_rejected_before_job_exists(self, tmp_path):
         manager = JobManager(tmp_path, max_workers=1)
         try:
